@@ -35,7 +35,6 @@
 //! synchronous rank-order exchanges, tie-to-lower-run merges), so output
 //! is bit-identical across the sim/threads/sockets backends.
 
-use crate::{charged, collective_alloc};
 use comm::Communicator;
 use sdssort::merge::kway_merge_offsets;
 use sdssort::node_merge::node_merge;
@@ -43,7 +42,7 @@ use sdssort::partition::{classic_cuts, cuts_to_counts};
 use sdssort::pivots::reference_pivots;
 use sdssort::sampling::regular_sample;
 use sdssort::stats::SortStats;
-use sdssort::{ComputeCharge, SortError, SortOutput, Sortable};
+use sdssort::{charged, collective_alloc, ComputeCharge, SortError, SortOutput, Sortable};
 
 /// AMS-sort configuration.
 #[derive(Debug, Clone, Copy)]

@@ -34,13 +34,12 @@
 //! breaks ties toward lower source ranks: output is bit-identical across
 //! the sim/threads/sockets backends.
 
-use crate::{charged, collective_alloc};
 use comm::Communicator;
 use sdssort::merge::kway_merge_offsets;
 use sdssort::search::{lower_bound, upper_bound};
 use sdssort::selection::kth_smallest_key;
 use sdssort::stats::SortStats;
-use sdssort::{ComputeCharge, SortError, SortOutput, Sortable};
+use sdssort::{charged, collective_alloc, ComputeCharge, SortError, SortOutput, Sortable};
 
 /// HSS configuration.
 #[derive(Debug, Clone, Copy)]

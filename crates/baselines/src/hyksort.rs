@@ -18,12 +18,12 @@
 //! that.
 
 use crate::histogram::{histogram_splitters, HistogramConfig};
-use mpisim::Comm;
-use sdssort::config::{ComputeCharge, ComputeModel};
+use comm::{AsyncExchange, Communicator};
+use sdssort::config::{charged, ComputeCharge};
 use sdssort::merge::merge_two;
 use sdssort::partition::{classic_cuts, cuts_to_counts};
 use sdssort::record::Sortable;
-use sdssort::sort::{SortError, SortOutput};
+use sdssort::sort::{collective_alloc, SortError, SortOutput};
 use sdssort::stats::SortStats;
 
 /// HykSort configuration.
@@ -47,29 +47,6 @@ impl Default for HykSortConfig {
             hist: HistogramConfig::default(),
             charge: ComputeCharge::Measured,
             seed: 0xCAFE,
-        }
-    }
-}
-
-fn model_of(cfg: &HykSortConfig) -> Option<ComputeModel> {
-    match cfg.charge {
-        ComputeCharge::Measured => None,
-        ComputeCharge::Modeled(m) => Some(m),
-    }
-}
-
-fn charged<R>(
-    comm: &Comm,
-    cfg: &HykSortConfig,
-    cost: impl FnOnce(&ComputeModel) -> f64,
-    f: impl FnOnce() -> R,
-) -> R {
-    match model_of(cfg) {
-        None => comm.compute(f),
-        Some(m) => {
-            let r = f();
-            comm.clock().charge(cost(&m));
-            r
         }
     }
 }
@@ -105,8 +82,8 @@ fn choose_k(p: usize, kmax: usize) -> usize {
 /// Sort `data` across `comm` with HykSort. Unstable. Fails collectively
 /// with [`SortError`] when any rank's receive buffer exceeds the simulated
 /// memory budget.
-pub fn hyksort<T: Sortable>(
-    comm: &Comm,
+pub fn hyksort<T: Sortable, C: Communicator>(
+    comm: &C,
     mut data: Vec<T>,
     cfg: &HykSortConfig,
 ) -> Result<SortOutput<T>, SortError> {
@@ -117,7 +94,7 @@ pub fn hyksort<T: Sortable>(
     let n0 = data.len();
     charged(
         comm,
-        cfg,
+        cfg.charge,
         |m| m.sort_cost(n0),
         || {
             data.sort_unstable_by_key(|r| r.key());
@@ -128,8 +105,8 @@ pub fn hyksort<T: Sortable>(
     Ok(SortOutput { data, stats })
 }
 
-fn stage<T: Sortable>(
-    comm: &Comm,
+fn stage<T: Sortable, C: Communicator>(
+    comm: &C,
     data: Vec<T>,
     cfg: &HykSortConfig,
     stats: &mut SortStats,
@@ -143,12 +120,12 @@ fn stage<T: Sortable>(
     let g = p / k; // group size after this stage
 
     // Splitter selection (histogram refinement).
-    let t0 = comm.clock().now();
+    let t0 = comm.now();
     let splitters = histogram_splitters(comm, &data, k, &cfg.hist, cfg.seed ^ depth);
-    stats.pivot_s += comm.clock().now() - t0;
+    stats.pivot_s += comm.now() - t0;
 
     // Classic bucketing: all duplicates of a splitter go to one bucket.
-    let t1 = comm.clock().now();
+    let t1 = comm.now();
     let bucket_counts = if splitters.is_empty() {
         let mut c = vec![0usize; k];
         c[0] = data.len();
@@ -177,17 +154,7 @@ fn stage<T: Sortable>(
     let recv_counts = comm.alltoall(&send_counts);
     let m: usize = recv_counts.iter().sum();
     let bytes = m * std::mem::size_of::<T>();
-    let my_alloc = comm.try_alloc(bytes);
-    let any_oom = comm.allreduce(my_alloc.is_err() as u8, |a, b| a.max(b)) > 0;
-    if any_oom {
-        if my_alloc.is_ok() {
-            comm.free(bytes);
-        }
-        return Err(match my_alloc {
-            Err(e) => SortError::Oom(e),
-            Ok(()) => SortError::PeerOom,
-        });
-    }
+    collective_alloc(comm, bytes)?;
 
     // Asynchronous exchange overlapped with progressive merging; merge time
     // is charged to the exchange phase (paper footnote 4: HykSort's
@@ -204,7 +171,7 @@ fn stage<T: Sortable>(
             let (_, lo) = runs.pop().expect("len>=2");
             let merged = charged(
                 comm,
-                cfg,
+                cfg.charge,
                 |mo| mo.kway_merge_cost(hi.len() + lo.len(), 2),
                 || merge_two(&lo, &hi),
             );
@@ -221,13 +188,13 @@ fn stage<T: Sortable>(
         let k_left = refs.len();
         charged(
             comm,
-            cfg,
+            cfg.charge,
             |mo| mo.kway_merge_cost(left, k_left),
             || sdssort::merge::kway_merge(&refs),
         )
     };
     comm.free(bytes);
-    stats.exchange_s += comm.clock().now() - t1;
+    stats.exchange_s += comm.now() - t1;
 
     if g == 1 {
         return Ok(acc);

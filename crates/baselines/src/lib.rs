@@ -1,7 +1,9 @@
 //! # baselines — comparison sorters for the SDS-Sort evaluation
 //!
-//! Every system the paper compares against, implemented from scratch on
-//! the same [`mpisim`] runtime and [`sdssort`] record abstractions:
+//! Every system the paper compares against, implemented from scratch over
+//! the backend-neutral `comm::Communicator` trait and the [`sdssort`]
+//! record abstractions, so each runs on the simulator, on OS threads and
+//! on socket-connected processes alike:
 //!
 //! * [`hyksort()`](hyksort::hyksort) — HykSort (ICS'13), the state-of-the-art baseline:
 //!   k-way hypercube sample sort with histogram-based splitter selection.
@@ -16,9 +18,11 @@
 //! * [`seqscan`] — partitioning-kernel baselines for Fig. 6b (full linear
 //!   scan and per-pivot binary search).
 //!
-//! HykSort and sample sort allocate their receive buffers through the
-//! simulated per-rank memory budget, reproducing the paper's observed OOM
-//! crashes on highly skewed inputs.
+//! HykSort, sample sort and radix sort allocate their receive buffers
+//! through the per-rank memory budget (enforced by the simulator),
+//! reproducing the paper's observed OOM crashes on highly skewed inputs.
+//! Modeled compute is charged through `sdssort::charged`, like every other
+//! sorter in the workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,14 +7,14 @@
 //! skew — it shares HykSort's duplicate-pivot failure mode and serves as
 //! the second baseline.
 
-use mpisim::Comm;
-use sdssort::config::{ComputeCharge, ComputeModel};
+use comm::Communicator;
+use sdssort::config::{charged, ComputeCharge};
 use sdssort::merge::kway_merge_offsets;
 use sdssort::partition::{classic_cuts, cuts_to_counts};
 use sdssort::pivots::{select_global_pivots, PivotMethod};
 use sdssort::record::Sortable;
 use sdssort::sampling::regular_sample;
-use sdssort::sort::{SortError, SortOutput};
+use sdssort::sort::{collective_alloc, SortError, SortOutput};
 use sdssort::stats::SortStats;
 
 /// Configuration for classical sample sort.
@@ -32,25 +32,9 @@ impl Default for SampleSortConfig {
     }
 }
 
-fn charged<R>(
-    comm: &Comm,
-    cfg: &SampleSortConfig,
-    cost: impl FnOnce(&ComputeModel) -> f64,
-    f: impl FnOnce() -> R,
-) -> R {
-    match cfg.charge {
-        ComputeCharge::Measured => comm.compute(f),
-        ComputeCharge::Modeled(m) => {
-            let r = f();
-            comm.clock().charge(cost(&m));
-            r
-        }
-    }
-}
-
 /// Classical PSRS sort of `data` across `comm`. Unstable.
-pub fn sample_sort<T: Sortable>(
-    comm: &Comm,
+pub fn sample_sort<T: Sortable, C: Communicator>(
+    comm: &C,
     mut data: Vec<T>,
     cfg: &SampleSortConfig,
 ) -> Result<SortOutput<T>, SortError> {
@@ -59,17 +43,17 @@ pub fn sample_sort<T: Sortable>(
         input_count: data.len(),
         ..SortStats::default()
     };
-    let t0 = comm.clock().now();
+    let t0 = comm.now();
 
     let n0 = data.len();
     charged(
         comm,
-        cfg,
+        cfg.charge,
         |m| m.sort_cost(n0),
         || data.sort_unstable_by_key(|r| r.key()),
     );
     if p == 1 {
-        stats.pivot_s = comm.clock().now() - t0;
+        stats.pivot_s = comm.now() - t0;
         stats.recv_count = data.len();
         return Ok(SortOutput { data, stats });
     }
@@ -91,30 +75,20 @@ pub fn sample_sort<T: Sortable>(
         classic_cuts(&data, &pivots)
     };
     let scounts = cuts_to_counts(&cuts);
-    stats.pivot_s = comm.clock().now() - t0;
+    stats.pivot_s = comm.now() - t0;
 
     // Exchange with collective memory check.
-    let t1 = comm.clock().now();
+    let t1 = comm.now();
     let rcounts = comm.alltoall(&scounts);
     let m: usize = rcounts.iter().sum();
     let bytes = m * std::mem::size_of::<T>();
-    let my_alloc = comm.try_alloc(bytes);
-    let any_oom = comm.allreduce(my_alloc.is_err() as u8, |a, b| a.max(b)) > 0;
-    if any_oom {
-        if my_alloc.is_ok() {
-            comm.free(bytes);
-        }
-        return Err(match my_alloc {
-            Err(e) => SortError::Oom(e),
-            Ok(()) => SortError::PeerOom,
-        });
-    }
+    collective_alloc(comm, bytes)?;
     let buf = comm.alltoallv_given_counts(&data, &scounts, &rcounts);
     drop(data);
-    stats.exchange_s = comm.clock().now() - t1;
+    stats.exchange_s = comm.now() - t1;
 
     // Final k-way merge.
-    let t2 = comm.clock().now();
+    let t2 = comm.now();
     let mut disp = Vec::with_capacity(p + 1);
     disp.push(0usize);
     for &rc in &rcounts {
@@ -122,11 +96,11 @@ pub fn sample_sort<T: Sortable>(
     }
     let out = charged(
         comm,
-        cfg,
+        cfg.charge,
         |mo| mo.kway_merge_cost(m, p),
         || kway_merge_offsets(&buf, &disp),
     );
-    stats.local_order_s = comm.clock().now() - t2;
+    stats.local_order_s = comm.now() - t2;
     comm.free(bytes);
     stats.recv_count = out.len();
     Ok(SortOutput { data: out, stats })

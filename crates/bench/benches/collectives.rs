@@ -2,7 +2,7 @@
 //! alltoallv at several message sizes, async vs sync all-to-all.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mpisim::{NetModel, World};
+use mpisim::{AsyncExchange, Communicator, NetModel, World};
 
 const P: usize = 8;
 

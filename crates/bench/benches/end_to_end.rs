@@ -3,7 +3,7 @@
 
 use baselines::{bitonic_sort, hyksort, sample_sort, HykSortConfig, SampleSortConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::{sds_sort, SdsConfig};
 use workloads::{uniform_u64, zipf_keys};
 

@@ -22,7 +22,7 @@ fn main() {
     println!("records/rank: {n_rank} u64 (paper: 100M = 400 MB)\n");
     if backend() == Backend::Threads {
         // Real execution: wall-clock seconds from crates/shmem, SDS
-        // variants only (the baselines are simulator-only).
+        // variants only.
         println!("backend: threads — measured wall-clock, sds variants only\n");
         let ps: Vec<usize> = ps.into_iter().filter(|&p| p <= 64).collect();
         let cells = weak_scaling_uniform_threads(&ps, n_rank);

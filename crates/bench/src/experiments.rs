@@ -44,7 +44,7 @@ pub fn weak_scaling_zipf(ps: &[usize], n_rank: usize, model: ComputeModel) -> Ve
 
 /// Weak-scaling sweep on the real threads backend with `n_rank` uniform
 /// `u64` keys per rank: `time_s` is measured wall clock, not a model. SDS
-/// variants only — the baselines are simulator-only.
+/// variants only.
 pub fn weak_scaling_uniform_threads(ps: &[usize], n_rank: usize) -> Vec<ScalingCell> {
     sweep_threads(ps, move |r| uniform_u64(n_rank, 0xF167, r))
 }

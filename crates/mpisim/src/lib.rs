@@ -4,7 +4,8 @@
 //! This crate is the substrate substitution for that environment: every
 //! *rank* is an OS thread, communicators provide the MPI operations the
 //! sorting algorithms use (point-to-point, `alltoallv`, splits,
-//! node-local communicators, an asynchronous all-to-all), and two
+//! node-local communicators, an asynchronous all-to-all; the collective
+//! algorithms are `comm::raw`'s, shared with the real backends), and two
 //! simulation facilities reproduce the hardware-dependent aspects of the
 //! evaluation:
 //!
@@ -19,7 +20,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use mpisim::World;
+//! use mpisim::{Communicator, World};
 //!
 //! let report = World::new(4).cores_per_node(2).run(|comm| {
 //!     // Every rank contributes its rank id; allreduce sums them.
@@ -30,32 +31,25 @@
 
 #![warn(missing_docs)]
 
-pub mod abstraction;
-pub mod async_a2a;
 pub mod check;
 pub mod clock;
-pub mod collectives;
 pub mod comm;
 pub mod error;
 pub mod faults;
 pub mod mailbox;
 pub mod memory;
 pub mod netmodel;
-pub mod p2p;
 pub mod runtime;
-pub mod split;
 pub mod topology;
 pub mod trace;
 pub mod universe;
 
-pub use async_a2a::AsyncAlltoallv;
 pub use check::RaceError;
 pub use clock::VirtualClock;
 pub use comm::Comm;
 pub use error::{CommError, OomError};
 pub use faults::FaultSpec;
 pub use netmodel::NetModel;
-pub use p2p::RecvRequest;
 pub use runtime::{World, WorldReport};
 pub use topology::Topology;
 pub use trace::{PhaseTraffic, Tracer};
@@ -65,6 +59,7 @@ pub use universe::{DeadlockError, Universe};
 // without a direct dependency.
 pub use telemetry;
 
-// The backend-neutral trait this simulator implements (see `abstraction`),
-// re-exported so tests and drivers can bring it into scope from here.
+// The backend-neutral trait this simulator implements (its substrate is in
+// `comm`), re-exported so tests and drivers can bring it into scope from
+// here.
 pub use ::comm::{AsyncExchange, Communicator};

@@ -102,49 +102,42 @@ impl Mailbox {
             }
     }
 
-    /// Position of the first envelope matching ANY of `specs` (FIFO order).
-    fn match_pos_any(
-        queue: &VecDeque<Envelope>,
-        ctx: u64,
-        specs: &[(SrcSel, u64)],
-    ) -> Option<usize> {
-        queue.iter().position(|e| {
-            specs
-                .iter()
-                .any(|&(src, tag)| Self::matches(e, ctx, src, tag))
-        })
+    /// Position of the first matching envelope (FIFO order).
+    fn match_pos(queue: &VecDeque<Envelope>, ctx: u64, src: SrcSel, tag: u64) -> Option<usize> {
+        queue.iter().position(|e| Self::matches(e, ctx, src, tag))
     }
 
     /// Non-blocking take of the first matching envelope.
     pub fn try_take(&self, ctx: u64, src: SrcSel, tag: u64) -> Option<Envelope> {
         let mut q = self.queue.lock();
-        Self::match_pos_any(&q, ctx, &[(src, tag)]).and_then(|i| q.remove(i))
+        Self::match_pos(&q, ctx, src, tag).and_then(|i| q.remove(i))
     }
 
     /// Blocking take. Returns `None` if `aborted` becomes set while waiting
     /// (another rank panicked and the world is shutting down).
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn take(&self, ctx: u64, src: SrcSel, tag: u64, aborted: &AtomicBool) -> Option<Envelope> {
-        match self.take_any_of(ctx, &[(src, tag)], aborted, None) {
+        match self.take_until(ctx, src, tag, aborted, None) {
             TakeResult::Got(e) => Some(e),
             TakeResult::Aborted => None,
             TakeResult::TimedOut => unreachable!("no deadline was set"),
         }
     }
 
-    /// Blocking take of the first envelope matching any of `specs`,
-    /// optionally bounded by a wall-clock deadline (used by the deadlock
-    /// detector to probe for global stalls).
-    pub fn take_any_of(
+    /// Blocking take of the first matching envelope, optionally bounded by
+    /// a wall-clock deadline (used by the deadlock detector to probe for
+    /// global stalls).
+    pub fn take_until(
         &self,
         ctx: u64,
-        specs: &[(SrcSel, u64)],
+        src: SrcSel,
+        tag: u64,
         aborted: &AtomicBool,
         deadline: Option<std::time::Instant>,
     ) -> TakeResult {
         let mut q = self.queue.lock();
         loop {
-            if let Some(i) = Self::match_pos_any(&q, ctx, specs) {
+            if let Some(i) = Self::match_pos(&q, ctx, src, tag) {
                 return TakeResult::Got(q.remove(i).expect("matched position exists"));
             }
             if aborted.load(Ordering::SeqCst) {
@@ -296,23 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn take_any_of_matches_multiple_specs() {
-        let mb = Mailbox::default();
-        let aborted = AtomicBool::new(false);
-        mb.push(env(0, 2, 9, vec![2]));
-        let specs = [(SrcSel::Exact(1), 8), (SrcSel::Exact(2), 9)];
-        match mb.take_any_of(0, &specs, &aborted, None) {
-            TakeResult::Got(e) => assert_eq!((e.src, e.tag), (2, 9)),
-            _ => panic!("expected envelope"),
-        }
-    }
-
-    #[test]
-    fn take_any_of_times_out() {
+    fn take_until_times_out() {
         let mb = Mailbox::default();
         let aborted = AtomicBool::new(false);
         let deadline = std::time::Instant::now() + Duration::from_millis(30);
-        match mb.take_any_of(0, &[(SrcSel::Any, 1)], &aborted, Some(deadline)) {
+        match mb.take_until(0, SrcSel::Any, 1, &aborted, Some(deadline)) {
             TakeResult::TimedOut => {}
             _ => panic!("expected timeout"),
         }

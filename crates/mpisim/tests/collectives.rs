@@ -1,7 +1,7 @@
 //! Integration tests: collectives agree with sequential reference results
 //! for a range of world sizes, including non-power-of-two sizes.
 
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 
 fn world(p: usize) -> World {
     World::new(p).cores_per_node(4).net(NetModel::zero())
@@ -248,5 +248,29 @@ fn reduce_scatter_sums_columns() {
     for (rank, sum) in report.results.into_iter().enumerate() {
         let expect: u64 = (0..p).map(|r| (r * 10 + rank) as u64).sum();
         assert_eq!(sum, expect);
+    }
+}
+
+/// A driver generic over the trait: collective and p2p round trips work
+/// for any `C: Communicator`, the simulator included.
+fn trait_driver<C: Communicator>(comm: &C) -> (u64, Vec<u64>) {
+    const RING_TAG: u64 = 7;
+    let sum = comm.allreduce(comm.rank() as u64 + 1, |a, b| a + b);
+    let next = (comm.rank() + 1) % comm.size();
+    let prev = (comm.rank() + comm.size() - 1) % comm.size();
+    comm.send_val(next, RING_TAG, comm.rank() as u64);
+    let from_prev: u64 = comm.recv_val(prev, RING_TAG);
+    assert_eq!(from_prev as usize, prev);
+    let gathered = comm.allgather(&[comm.rank() as u64]);
+    (sum, gathered)
+}
+
+#[test]
+fn generic_driver_runs_on_the_simulator() {
+    let p = 4;
+    let report = world(p).run(|comm| trait_driver(comm));
+    for (sum, gathered) in report.results {
+        assert_eq!(sum, (1..=p as u64).sum());
+        assert_eq!(gathered, (0..p as u64).collect::<Vec<_>>());
     }
 }

@@ -14,6 +14,7 @@
 //! reproduces a figure sweeps the relevant threshold explicitly.
 
 use crate::record::Sortable;
+use comm::Communicator;
 
 /// How compute time is charged to the virtual clocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,6 +25,26 @@ pub enum ComputeCharge {
     /// Charge analytically modelled durations from a [`ComputeModel`]
     /// (robust for scaling studies with thousands of simulated ranks).
     Modeled(ComputeModel),
+}
+
+/// Run `f`, charging its cost to `comm` per `charge`: the measured wall
+/// time via `comm.compute`, or the model cost returned from `cost` via
+/// `comm.charge_compute`. Every sorter in the workspace charges through
+/// this one helper, so an injected slowdown scales all of them alike.
+pub fn charged<R, C: Communicator>(
+    comm: &C,
+    charge: ComputeCharge,
+    cost: impl FnOnce(&ComputeModel) -> f64,
+    f: impl FnOnce() -> R,
+) -> R {
+    match charge {
+        ComputeCharge::Measured => comm.compute(f),
+        ComputeCharge::Modeled(m) => {
+            let r = f();
+            comm.charge_compute(cost(&m));
+            r
+        }
+    }
 }
 
 /// Calibrated per-record compute costs, in seconds.

@@ -17,7 +17,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use mpisim::{NetModel, World};
+//! use mpisim::{Communicator, NetModel, World};
 //! use sdssort::{sds_sort, SdsConfig};
 //!
 //! let report = World::new(4).net(NetModel::zero()).run(|comm| {
@@ -54,7 +54,7 @@ pub mod validate;
 
 pub use autotune::{autotune, AutotuneReport};
 pub use config::{
-    ComputeCharge, ComputeModel, LocalKernel, PartitionStrategy, PivotSource, SdsConfig,
+    charged, ComputeCharge, ComputeModel, LocalKernel, PartitionStrategy, PivotSource, SdsConfig,
 };
 pub use local_sort::{local_sort, local_sort_with, parallel_merge, LocalSortReport, MergeStrategy};
 pub use radix::{
@@ -64,6 +64,6 @@ pub use radix::{
 pub use record::{OrderedF32, OrderedF64, RadixKey, Record, Sortable, Tagged};
 pub use resilience::{sds_sort_resilient, ResilienceConfig};
 pub use selection::{kth_smallest_key, top_k};
-pub use sort::{sds_sort, SortError, SortOutput};
+pub use sort::{collective_alloc, sds_sort, SortError, SortOutput};
 pub use stats::{rdfa, SortStats};
 pub use validate::{is_globally_sorted, is_permutation_of, load_stats};

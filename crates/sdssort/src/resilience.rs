@@ -24,12 +24,13 @@
 //! to the consumer. Disk traffic is charged to the virtual clock through a
 //! simple seek + bandwidth model.
 
-use crate::config::SdsConfig;
+use crate::config::{charged, SdsConfig};
 use crate::external::{remove_run, write_run, PlainData, RunFile, RunMerger};
 use crate::merge::kway_merge;
 use crate::record::Sortable;
-use crate::sort::{charged, sds_sort_impl, ExchangeBackend, SortError, SortOutput};
+use crate::sort::{sds_sort_impl, ExchangeBackend, SortError, SortOutput};
 use crate::stats::SortStats;
+use comm::raw::RawAsync;
 use comm::{AsyncExchange, Communicator};
 use std::io;
 use std::path::PathBuf;
@@ -164,7 +165,7 @@ impl<T: Sortable + PlainData, C: Communicator> ExchangeBackend<T, C> for SpillEx
             let refs: Vec<&[T]> = chunks.iter().map(|c| c.as_slice()).collect();
             let out = charged(
                 comm,
-                cfg,
+                cfg.charge,
                 |mo| mo.kway_merge_cost(m, p),
                 || kway_merge(&refs),
             );
@@ -210,7 +211,7 @@ impl SpillExchange<'_> {
         comm: &C,
         cfg: &SdsConfig,
         stats: &mut SortStats,
-        pending: &mut C::Async<T>,
+        pending: &mut RawAsync<T>,
         m: usize,
         t1: f64,
         sp_ex: telemetry::SpanId,
@@ -275,7 +276,7 @@ impl SpillExchange<'_> {
         );
         let merged = charged(
             comm,
-            cfg,
+            cfg.charge,
             |mo| mo.kway_merge_cost(m, run_files.len().max(2)),
             || -> io::Result<Vec<T>> { RunMerger::new(&run_files)?.collect() },
         );

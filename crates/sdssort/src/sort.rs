@@ -19,7 +19,7 @@
 //! Every rank returns its slice of the globally sorted sequence (ascending
 //! with rank) plus a [`SortStats`] phase breakdown.
 
-use crate::config::{ComputeCharge, ComputeModel, LocalKernel, SdsConfig};
+use crate::config::{charged, LocalKernel, SdsConfig};
 use crate::local_sort::{local_sort_with, LocalSortReport};
 use crate::merge::{kway_merge_offsets, merge_two};
 use crate::node_merge::node_merge;
@@ -57,6 +57,27 @@ impl std::fmt::Display for SortError {
 
 impl std::error::Error for SortError {}
 
+/// Collectively check that every rank can allocate its `bytes`-sized
+/// receive buffer. On success `bytes` stays reserved on every rank; if any
+/// rank would exceed its budget, every rank releases its reservation and
+/// fails together — [`SortError::Oom`] on the rank that ran out,
+/// [`SortError::PeerOom`] elsewhere. This is the simulator's model of the
+/// paper's whole-job out-of-memory crash.
+pub fn collective_alloc<C: Communicator>(comm: &C, bytes: usize) -> Result<(), SortError> {
+    let my_alloc = comm.try_alloc(bytes);
+    let any_oom = comm.allreduce(u8::from(my_alloc.is_err()), |a, b| a.max(b)) > 0;
+    if any_oom {
+        if my_alloc.is_ok() {
+            comm.free(bytes);
+        }
+        return Err(match my_alloc {
+            Err(e) => SortError::Oom(e),
+            Ok(()) => SortError::PeerOom,
+        });
+    }
+    Ok(())
+}
+
 /// Result of one rank's participation in a distributed sort.
 #[derive(Debug, Clone)]
 pub struct SortOutput<T> {
@@ -65,31 +86,6 @@ pub struct SortOutput<T> {
     pub data: Vec<T>,
     /// Phase breakdown and load metrics.
     pub stats: SortStats,
-}
-
-fn model_of(cfg: &SdsConfig) -> Option<ComputeModel> {
-    match cfg.charge {
-        ComputeCharge::Measured => None,
-        ComputeCharge::Modeled(m) => Some(m),
-    }
-}
-
-/// Run `f`, charging compute either by measurement or by the model cost
-/// returned from `cost`.
-pub(crate) fn charged<R, C: Communicator>(
-    comm: &C,
-    cfg: &SdsConfig,
-    cost: impl FnOnce(&ComputeModel) -> f64,
-    f: impl FnOnce() -> R,
-) -> R {
-    match model_of(cfg) {
-        None => comm.compute(f),
-        Some(m) => {
-            let r = f();
-            comm.charge_compute(cost(&m));
-            r
-        }
-    }
 }
 
 /// Policy object for steps 5–7 of the pipeline: the collective memory
@@ -162,7 +158,7 @@ pub(crate) fn sds_sort_impl<T: Sortable, C: Communicator, B: ExchangeBackend<T, 
     let n0 = data.len();
     let lsr = charged(
         comm,
-        cfg,
+        cfg.charge,
         |m| m.sort_cost_with(n0, cfg.stable),
         || local_sort_with(&mut data, cfg.local_threads, cfg.stable, cfg.local_kernel),
     );
@@ -194,7 +190,7 @@ pub(crate) fn sds_sort_impl<T: Sortable, C: Communicator, B: ExchangeBackend<T, 
         let k = cl.size();
         let merged = charged(
             comm,
-            cfg,
+            cfg.charge,
             |m| m.kway_merge_cost(node_n, k),
             || node_merge(&cl, &data),
         );
@@ -282,7 +278,7 @@ fn inner_sort<T: Sortable, C: Communicator, B: ExchangeBackend<T, C>>(
         };
         charged(
             comm,
-            cfg,
+            cfg.charge,
             |m| m.scan_cost(p * 32),
             || stable_cuts(&data, &pivots, Some(&index), &shares),
         )
@@ -290,14 +286,14 @@ fn inner_sort<T: Sortable, C: Communicator, B: ExchangeBackend<T, C>>(
         match cfg.partition {
             crate::config::PartitionStrategy::SkewAware => charged(
                 comm,
-                cfg,
+                cfg.charge,
                 |m| m.scan_cost(p * 32),
                 || fast_cuts(&data, &pivots, Some(&index)),
             ),
             // Ablation: duplicate-blind upper_bound partitioning.
             crate::config::PartitionStrategy::Classic => charged(
                 comm,
-                cfg,
+                cfg.charge,
                 |m| m.scan_cost(p * 32),
                 || crate::partition::classic_cuts(&data, &pivots),
             ),
@@ -338,19 +334,11 @@ impl<T: Sortable, C: Communicator> ExchangeBackend<T, C> for InMemoryExchange {
         let rcounts = comm.alltoall(scounts);
         let m: usize = rcounts.iter().sum();
         let bytes = m * std::mem::size_of::<T>();
-        let my_alloc = comm.try_alloc(bytes);
-        let any_oom = comm.allreduce(my_alloc.is_err() as u8, |a, b| a.max(b)) > 0;
-        if any_oom {
-            if my_alloc.is_ok() {
-                comm.free(bytes);
-            }
+        if let Err(e) = collective_alloc(comm, bytes) {
             // stats are discarded on the error path: the paper treats this
             // as a whole-job crash.
             comm.span_end(sp_ex);
-            return Err(match my_alloc {
-                Err(e) => SortError::Oom(e),
-                Ok(()) => SortError::PeerOom,
-            });
+            return Err(e);
         }
         stats.recv_count = m;
 
@@ -373,7 +361,7 @@ impl<T: Sortable, C: Communicator> ExchangeBackend<T, C> for InMemoryExchange {
             let sorted = if cfg.should_merge_local(p) {
                 charged(
                     comm,
-                    cfg,
+                    cfg.charge,
                     |mo| mo.kway_merge_cost(m, p),
                     || kway_merge_offsets(&buf, &disp),
                 )
@@ -381,7 +369,7 @@ impl<T: Sortable, C: Communicator> ExchangeBackend<T, C> for InMemoryExchange {
                 let mut buf = buf;
                 let lsr = charged(
                     comm,
-                    cfg,
+                    cfg.charge,
                     |mo| {
                         let base = mo.adaptive_sort_cost(m, p);
                         if cfg.stable {
@@ -426,7 +414,7 @@ impl<T: Sortable, C: Communicator> ExchangeBackend<T, C> for InMemoryExchange {
                     let tm = comm.now();
                     let merged = charged(
                         comm,
-                        cfg,
+                        cfg.charge,
                         |mo| mo.kway_merge_cost(hi.len() + lo.len(), 2),
                         || merge_two(&lo, &hi),
                     );
@@ -450,7 +438,7 @@ impl<T: Sortable, C: Communicator> ExchangeBackend<T, C> for InMemoryExchange {
                 let k_left = refs.len();
                 let acc = charged(
                     comm,
-                    cfg,
+                    cfg.charge,
                     |mo| mo.kway_merge_cost(left, k_left),
                     || crate::merge::kway_merge(&refs),
                 );

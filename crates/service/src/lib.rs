@@ -9,7 +9,7 @@
 //!   ([`shmem::ResidentWorld`]) and parked between jobs; steady-state jobs
 //!   never spawn a thread.
 //! * **Bounded submission queue** — built on the same `(ctx, src, tag)`-
-//!   matched bounded [`shmem::mailbox::Mailbox`] the backend uses for rank
+//!   matched bounded [`comm::mailbox::Mailbox`] the backend uses for rank
 //!   traffic. A full queue blocks [`ServiceClient::submit`] (real sender
 //!   backpressure) or fails [`ServiceClient::try_submit`] fast.
 //! * **Arena buffer reuse** — input keys are generated into recycled

@@ -31,10 +31,10 @@ use crate::config::ServiceConfig;
 use crate::job::{JobOutcome, JobReport, JobSpec, JobTicket, SubmitError, TrySubmitError};
 use crate::pressure::{Admission, PressureGauge};
 use crate::report::{percentile, ServiceCounters, ServiceReport};
+use comm::mailbox::{Envelope, Mailbox, SrcSel};
 use comm::Communicator;
 use sdssort::stats::phase_maxima;
 use sdssort::{sds_sort, sds_sort_resilient, ResilienceConfig, SdsConfig, SortStats};
-use shmem::mailbox::{Envelope, Mailbox, SrcSel};
 use shmem::{ResidentWorld, ThreadComm, ThreadWorld};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

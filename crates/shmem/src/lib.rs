@@ -18,10 +18,10 @@
 //!   stay correct under true concurrency?"* — real threads, real races on
 //!   arrival order, real seconds.
 //!
-//! The collectives reproduce the simulator's algorithms and deterministic
-//! reduction orders (rank-order folds), so for a given seed both backends
-//! produce bit-identical sorted output; see the workspace's
-//! `backend_equivalence` tests.
+//! The collectives are the shared algorithm bodies in `comm::raw`, the
+//! same ones the simulator runs, so for a given seed both backends produce
+//! bit-identical sorted output; see the workspace's `backend_equivalence`
+//! tests.
 //!
 //! ## Quick start
 //!
@@ -43,12 +43,11 @@
 #![warn(missing_docs)]
 
 mod comm;
-pub mod mailbox;
 mod resident;
 mod universe;
 mod world;
 
-pub use crate::comm::{ShmemAborted, ShmemAsync, ThreadComm};
+pub use crate::comm::{ShmemAborted, ThreadComm};
 pub use resident::{GangError, ResidentWorld};
 pub use universe::{NetStats, Universe};
 pub use world::{ThreadReport, ThreadWorld};

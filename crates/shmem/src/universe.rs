@@ -1,7 +1,7 @@
 //! Shared state of one threads-backend world: mailboxes, topology labels,
 //! traffic stats, the wall-clock epoch, and the abort flag.
 
-use crate::mailbox::Mailbox;
+use comm::mailbox::Mailbox;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;

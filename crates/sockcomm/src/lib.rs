@@ -24,8 +24,8 @@
 //! - `net`: `Stream`/`Listener` over TCP-loopback or Unix-domain sockets.
 //! - `universe`: per-process rank state — mailbox, peer links, abort flag,
 //!   close-barrier bookkeeping, traffic counters.
-//! - `comm`: [`SockComm`], the `Communicator` implementation (a thin
-//!   `comm::raw::RawComm` shim; the algorithms live in `comm::raw`).
+//! - `comm`: [`SockComm`], the `Communicator` substrate (frames, mailbox
+//!   matching, tag allocation; the algorithms live in `comm::raw`).
 //! - `launch`: [`SocketWorld`] (rendezvous launcher) and [`child_rank`]
 //!   (re-exec'd child entry); peer-death detection and teardown.
 //!
@@ -57,7 +57,7 @@ mod launch;
 mod net;
 mod universe;
 
-pub use crate::comm::{SockAborted, SockAsync, SockComm};
+pub use crate::comm::{SockAborted, SockComm};
 pub use launch::{child_rank, SockError, SockReport, SocketWorld, ENV_RANK};
 pub use net::Transport;
 pub use universe::{DeadPeer, NetStats};

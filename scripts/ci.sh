@@ -76,6 +76,11 @@ test -s "$tmp/threads/BENCH_sortcli.json" || {
 }
 run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --validate-metrics "$tmp/threads/BENCH_sortcli.json"
+# Every sorter runs on every backend: the HykSort baseline must sort and
+# validate on real threads too.
+run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+    --backend threads --sorter hyksort --workload zipf:1.2 --ranks 4 \
+    --records 5000
 
 # bench_quick smoke: the committed-BENCH producer must run end to end at
 # its real sizes and validate its own emission (JSON parses, carries
@@ -102,9 +107,9 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --validate-metrics "$tmp/sockets/BENCH_sortcli.json"
 
 # Backend equivalence: same seed => bit-identical sorted output on the
-# simulator, the threads backend, and the sockets backend (the PR 5
-# acceptance gate, extended to three columns in PR 8 and to the AMS-sort
-# and HSS peer algorithms in PR 10).
+# simulator, the threads backend, and the sockets backend, for SDS-Sort,
+# the AMS-sort and HSS peers, and the HykSort, sample sort, bitonic and
+# radix baselines.
 run cargo test -q "${CARGO_OPTS[@]}" --test backend_equivalence
 
 # Peer-algorithm suite (crates/algos): AMS-sort and Histogram Sort with

@@ -23,6 +23,7 @@
 //! targeting the [`sockcomm_child_entry`] test by exact name; in a normal
 //! parent test run that test is a no-op.
 
+use comm::Communicator;
 use mpisim::{NetModel, World};
 use sdssort::{sds_sort, Record, SdsConfig, Tagged};
 use shmem::ThreadWorld;
@@ -40,10 +41,15 @@ fn gen_keys(workload: &str, n: usize, seed: u64, rank: usize) -> Vec<u64> {
     }
 }
 
-/// Dispatch one of the `crates/algos` peers (backend-generic, like
-/// `sds_sort`): both are deterministic end to end, so they join the
-/// bit-identical matrix below as first-class columns.
-fn run_algo<C: comm::Communicator>(algo: &str, comm: &C, data: Vec<u64>) -> Vec<u64> {
+/// The peer sorters, each backend-generic like `sds_sort`: the
+/// `crates/algos` peers and the `crates/baselines` competitors.
+const ALGOS: [&str; 6] = ["ams", "hss", "hyksort", "samplesort", "bitonic", "radix"];
+
+/// Dispatch one of [`ALGOS`]. Every one is deterministic end to end (the
+/// baselines' arrival-order merges combine sorted `u64` runs, whose result
+/// does not depend on the order), so they join the bit-identical matrix
+/// below as first-class columns.
+fn run_algo<C: Communicator>(algo: &str, comm: &C, data: Vec<u64>) -> Vec<u64> {
     match algo {
         "ams" => {
             algos::ams_sort(comm, data, &algos::AmsConfig::default())
@@ -52,6 +58,22 @@ fn run_algo<C: comm::Communicator>(algo: &str, comm: &C, data: Vec<u64>) -> Vec<
         }
         "hss" => {
             algos::hss_sort(comm, data, &algos::HssConfig::default())
+                .expect("no memory budget")
+                .data
+        }
+        "hyksort" => {
+            baselines::hyksort(comm, data, &baselines::HykSortConfig::default())
+                .expect("no memory budget")
+                .data
+        }
+        "samplesort" => {
+            baselines::sample_sort(comm, data, &baselines::SampleSortConfig::default())
+                .expect("no memory budget")
+                .data
+        }
+        "bitonic" => baselines::bitonic_sort(comm, data),
+        "radix" => {
+            baselines::radix_sort(comm, data)
                 .expect("no memory budget")
                 .data
         }
@@ -69,7 +91,6 @@ fn run_sim_algo(algo: &str, p: usize, workload: &str, n: usize, seed: u64) -> Ve
 }
 
 fn run_threads_algo(algo: &str, p: usize, workload: &str, n: usize, seed: u64) -> Vec<Vec<u64>> {
-    use comm::Communicator;
     let report = ThreadWorld::new(p).cores_per_node(4).run(|comm| {
         let data = gen_keys(workload, n, seed, comm.rank());
         run_algo(algo, comm, data)
@@ -103,7 +124,6 @@ fn run_threads_u64(
     n: usize,
     seed: u64,
 ) -> Vec<Vec<u64>> {
-    use comm::Communicator;
     let report = ThreadWorld::new(p).cores_per_node(4).run(|comm| {
         let data = gen_keys(workload, n, seed, comm.rank());
         sds_sort(comm, data, cfg).expect("no memory budget").data
@@ -121,7 +141,6 @@ const ENTRY_SORT_ALGO: &str = "equiv-sort-algo";
 type U64Params = (String, u64, u64, bool, bool);
 
 fn sockets_u64_entry(comm: &sockcomm::SockComm, params: U64Params) -> Vec<u64> {
-    use comm::Communicator;
     let (workload, n, seed, stable, force_merge) = params;
     let mut cfg = cfg_for(stable);
     if force_merge {
@@ -135,7 +154,6 @@ fn sockets_u64_entry(comm: &sockcomm::SockComm, params: U64Params) -> Vec<u64> {
 type AlgoParams = (String, String, u64, u64);
 
 fn sockets_algo_entry(comm: &sockcomm::SockComm, params: AlgoParams) -> Vec<u64> {
-    use comm::Communicator;
     let (algo, workload, n, seed) = params;
     let data = gen_keys(&workload, n as usize, seed, comm.rank());
     run_algo(&algo, comm, data)
@@ -148,7 +166,6 @@ fn sockets_tagged_entry(
     comm: &sockcomm::SockComm,
     params: TaggedParams,
 ) -> (Vec<Tagged<u32>>, Vec<Tagged<u32>>) {
-    use comm::Communicator;
     let (n, seed, stable) = params;
     let cfg = cfg_for(stable);
     let data = tagged_input(n as usize, 64, seed, comm.rank());
@@ -205,11 +222,11 @@ fn run_sockets_tagged(p: usize, n: usize, seed: u64, stable: bool) -> (RankRecor
 
 #[test]
 fn ams_and_hss_output_is_bit_identical_across_backends() {
-    // The crates/algos peers join the same guarantee as sds_sort: seeded
-    // sampling, synchronous rank-order exchanges, and tie-to-lower-run
-    // merging leave nothing arrival-dependent, so per-rank outputs match
-    // bit for bit between the simulator and real OS threads.
-    for algo in ["ams", "hss"] {
+    // The peers and baselines join the same guarantee as sds_sort: seeded
+    // sampling, rank-order exchanges, and tie-to-lower-run merging leave
+    // nothing arrival-dependent, so per-rank outputs match bit for bit
+    // between the simulator and real OS threads.
+    for algo in ALGOS {
         for p in [2usize, 4, 8] {
             for workload in ["uniform", "zipf", "staircase", "adversarial", "identical"] {
                 let seed = 0xA15 + p as u64;
@@ -226,7 +243,7 @@ fn ams_and_hss_output_is_bit_identical_across_backends() {
 
 #[test]
 fn sockets_ams_and_hss_output_is_bit_identical_to_sim_and_threads() {
-    for algo in ["ams", "hss"] {
+    for algo in ALGOS {
         for p in [2usize, 4] {
             for workload in ["uniform", "zipf", "staircase", "adversarial", "identical"] {
                 let seed = 0xA15 + p as u64;
@@ -316,7 +333,6 @@ fn run_threads_tagged(
     n: usize,
     seed: u64,
 ) -> (RankRecords, RankRecords) {
-    use comm::Communicator;
     let report = ThreadWorld::new(p).cores_per_node(4).run(|comm| {
         let data = tagged_input(n, 64, seed, comm.rank());
         let out = sds_sort(comm, data.clone(), cfg).expect("no memory budget");
@@ -448,7 +464,6 @@ fn bound(n_total: usize, p: usize) -> usize {
 
 #[test]
 fn skew_bound_holds_on_threads_backend() {
-    use comm::Communicator;
     let mut cfg = SdsConfig::default();
     cfg.tau_m_bytes = 0;
     for (p, workload) in [

@@ -1,5 +1,5 @@
 // xlint fixture: user-tag-range violations — tags wandering into the
-// reserved collective space (>= 2^48) and reserved-tag RawComm calls
+// reserved collective space (>= 2^48) and reserved-tag `*_raw` calls
 // outside the backend substrate. Scanned under an algorithm-crate path
 // by tools/xlint/tests/fixtures.rs; never compiled.
 
@@ -17,5 +17,5 @@ fn reserved_const(comm: &Comm) {
 
 fn raw_surface(comm: &Comm) {
     let _t = comm.next_coll_tag(); // user-tag-range: reserved-tag plumbing
-    comm.send_raw(0, BASE_TAG, vec![1u64]); // user-tag-range: RawComm bypasses the check
+    comm.send_raw(0, BASE_TAG, vec![1u64]); // user-tag-range: `*_raw` bypasses the check
 }

@@ -11,7 +11,7 @@
 //! | `workload-determinism` | `workloads` crate | generators are seeded: no `thread_rng`/`from_entropy`/entropy sources |
 //! | `rank-divergent-collective` | algorithm/driver code | no `Communicator` collective call lexically inside a branch/loop/match that depends on the caller's rank — the static shadow of mpisim's runtime deadlock detector |
 //! | `unchecked-partition-arith` | `sdssort::{partition,merge,radix}`, `baselines`, `algos` | no unchecked `*`/`-` (or compound `+`) on index/count expressions feeding slice bounds: widen to `u128` or use `checked_*`/`saturating_*` (the PR 7 merge-cut / radix-carve overflow class) |
-//! | `user-tag-range` | outside the comm substrate crates | no literal or const tag at/above `MAX_USER_TAG`, and no `*_raw` reserved-tag call outside the backends that implement `RawComm` |
+//! | `user-tag-range` | outside the comm substrate crates | no literal or const tag at/above `MAX_USER_TAG`, and no `*_raw` reserved-tag call outside the backends that implement the `Communicator` substrate |
 //! | `blocking-in-dispatcher` | `crates/service` | no `thread::sleep`/`park` or blocking channel `recv` in the service: the dispatcher's only sanctioned block point is the submission mailbox |
 
 pub mod arith;

@@ -247,8 +247,8 @@ fn user_space_tags_pass() {
 
 #[test]
 fn raw_calls_are_sanctioned_inside_the_substrate() {
-    // The same `_raw` calls inside a backend that implements RawComm are
-    // that backend's job.
+    // The same `_raw` calls inside a backend that implements the
+    // `Communicator` substrate are that backend's job.
     let diags = xlint::scan_source("crates/sockcomm/src/fixture.rs", &fixture("tag_range.rs"));
     assert!(
         !diags.iter().any(|d| d.rule == "user-tag-range"),
