@@ -3,6 +3,7 @@
 
 use crate::comm::{ShmemAborted, ThreadComm};
 use crate::universe::Universe;
+use comm::Group;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Instant;
@@ -125,7 +126,7 @@ impl ThreadWorld {
                     std::thread::Builder::new()
                         .name(format!("shmem-rank-{r}"))
                         .spawn_scoped(scope, move || {
-                            let comm = ThreadComm::new(Arc::clone(&uni), 0, members, r);
+                            let comm = ThreadComm::new(Arc::clone(&uni), 0, Group::new(members, r));
                             let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
                             let wall = uni.start.elapsed().as_secs_f64();
                             match res {

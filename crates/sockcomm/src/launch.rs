@@ -40,7 +40,7 @@ use crate::frame::{read_frame, write_frame, Frame, FrameKind};
 use crate::net::{connect, Listener, Stream, Transport};
 use crate::universe::{PeerLink, SockUniverse};
 use comm::mailbox::Envelope;
-use comm::Wire;
+use comm::{Group, Wire};
 use std::cell::RefCell;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
@@ -648,8 +648,7 @@ fn run_child<P: Wire, R: Wire>(
         readers.push(std::thread::spawn(move || reader_loop(stream, peer, uni)));
     }
 
-    let members: Arc<[usize]> = (0..p).collect();
-    let comm = SockComm::new(Arc::clone(&uni), 0, members, me);
+    let comm = SockComm::new(Arc::clone(&uni), 0, Group::new((0..p).collect(), me));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm, params)));
 
     match outcome {
