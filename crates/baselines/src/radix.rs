@@ -10,17 +10,16 @@
 //! rank: radix sort shares HykSort's skew failure mode, which is why the
 //! paper's related-work section groups it with the non-robust baselines.
 //!
-//! Keys must expose a monotone unsigned-integer mapping ([`RadixKey`],
-//! shared with `sdssort`'s local radix kernel); provided for the integer
-//! primitives and the total-order float wrappers. 128-bit keys implement
-//! the trait with `USABLE = false` and are rejected at runtime.
+//! Records must carry a monotone `u64` embedding of their key
+//! ([`Sortable::RADIX`] / [`Sortable::radix_u64`], the same one
+//! `sdssort`'s local radix kernel sorts by); the integer primitives, the
+//! total-order float wrappers and records keyed by them do. 128-bit keys
+//! have no such embedding and are rejected at runtime.
 
 use comm::Communicator;
 use sdssort::record::Sortable;
 use sdssort::sort::{collective_alloc, SortError, SortOutput};
 use sdssort::stats::SortStats;
-
-pub use sdssort::record::RadixKey;
 
 /// Digit width of the global histogram (top `HIST_BITS` bits of the key).
 const HIST_BITS: u32 = 12;
@@ -72,10 +71,9 @@ pub fn radix_sort<T, C>(comm: &C, mut data: Vec<T>) -> Result<SortOutput<T>, Sor
 where
     C: Communicator,
     T: Sortable,
-    T::Key: RadixKey,
 {
     assert!(
-        <T::Key as RadixKey>::USABLE,
+        T::RADIX,
         "radix baseline requires a key with a usable u64 embedding"
     );
     let p = comm.size();
@@ -87,7 +85,7 @@ where
 
     // Local sort once: boundaries then become binary searches, and the
     // final ordering is a k-way-mergeable layout.
-    comm.compute(|| data.sort_unstable_by_key(|r| r.key().radix_u64()));
+    comm.compute(|| data.sort_unstable_by_key(|r| r.radix_u64()));
     if p == 1 {
         stats.pivot_s = comm.now() - t0;
         stats.recv_count = data.len();
@@ -97,7 +95,7 @@ where
     // Find the key width actually in use so the histogram covers the top
     // HIST_BITS of the *occupied* range (fixed shift would waste buckets
     // on narrow keys).
-    let local_max = data.last().map_or(0, |r| r.key().radix_u64());
+    let local_max = data.last().map_or(0, |r| r.radix_u64());
     let global_max = comm.allreduce(local_max, u64::max);
     let used_bits = 64 - global_max.leading_zeros();
     let shift = used_bits.saturating_sub(HIST_BITS);
@@ -106,7 +104,7 @@ where
     let mut hist = vec![0u64; HIST_SIZE];
     comm.compute(|| {
         for r in &data {
-            hist[top_digit(r.key().radix_u64(), shift).min(HIST_SIZE - 1)] += 1;
+            hist[top_digit(r.radix_u64(), shift).min(HIST_SIZE - 1)] += 1;
         }
     });
     let hist = comm.allreduce(hist, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
@@ -126,7 +124,7 @@ where
             data.len()
         } else {
             let boundary_key = boundary as u64;
-            comm.compute(|| data.partition_point(|r| r.key().radix_u64() < boundary_key))
+            comm.compute(|| data.partition_point(|r| r.radix_u64() < boundary_key))
         };
         cuts.push(pos);
     }

@@ -6,7 +6,7 @@
 //! (`crates/sockcomm`) — then drives the resident
 //! [`service::SortService`] with a burst of Zipf-sized jobs from several
 //! concurrent clients, and emits the wall-clock numbers as
-//! `BENCH_pr8.json` (honouring `BENCH_METRICS_OUT`, or
+//! `BENCH_quick.json` (honouring `BENCH_METRICS_OUT`, or
 //! `--metrics-out <dir>`). Scaling points carry a `backend` axis so the
 //! two substrates are directly comparable per (sorter, p) cell. Unlike
 //! the figure harnesses this never touches the simulator: every time in
@@ -34,7 +34,7 @@ fn main() {
     );
     let ps = [1usize, 2, 4, 8];
     let n_rank = 20_000;
-    let mut em = Emitter::from_env("pr8");
+    let mut em = Emitter::from_env("quick");
     em.meta("workload", "uniform_u64");
     em.meta("n_rank", n_rank as u64);
     em.meta("backend", "threads+sockets");

@@ -8,8 +8,8 @@
 //! SDS-Sort's `O(4N/p)`-bounded footprint and HykSort's `δ·N + N/p`
 //! concentration, exactly the regime of the paper's 64 GB nodes.
 //!
-//! The AMS-sort and HSS peers (`crates/algos`) ride along as context
-//! columns; the full 4-way comparison lives in `shootout_pr10`.
+//! The AMS-sort and HSS peers (`crates/baselines`) ride along as context
+//! columns; the full 4-way comparison lives in `shootout`.
 
 use bench::{by_scale, fmt_opt_time, header, model, run_sorter, verdict, Sorter, Table};
 use workloads::{zipf_keys, PAPER_ALPHA_DELTA_TABLE2};
@@ -46,7 +46,7 @@ fn main() {
     let mut hyk_ok_low = false;
     let mut sds_all_ok = true;
     for &(alpha, delta) in &PAPER_ALPHA_DELTA_TABLE2 {
-        // AMS and HSS (crates/algos) ride along as context columns: both
+        // AMS and HSS (crates/baselines) ride along as context columns: both
         // split ties by position, so like the SDS variants they should
         // survive every δ — the verdict still hinges on HykSort vs SDS.
         let times: Vec<Option<f64>> = [

@@ -6,8 +6,8 @@
 //!   --sorter   sds | sds-stable | hyksort | samplesort | bitonic | radix
 //!              | ams | hss        (`--algo` is an alias for `--sorter`;
 //!                                  `ams` is multi-level AMS-sort and `hss`
-//!                                  is Histogram Sort with Sampling, both
-//!                                  from crates/algos)
+//!                                  is Histogram Sort with Sampling; every
+//!                                  name is a `baselines::Sorter`)
 //!   --workload uniform | zipf:<alpha> | staircase[:<steps>] | ptf-like
 //!              | adversarial
 //!   --backend  sim | threads | sockets
@@ -28,7 +28,7 @@
 //!   --records  <n per rank>        (default 20000)
 //!   --cores    <cores per node>    (default 24)
 //!   --budget   <bytes per rank>    (default unlimited)
-//!   --oversample <s>               (default 1; sds only)
+//!   --oversample <s>               (default 1; sds sorters only)
 //!   --trace                        print per-phase traffic matrices
 //!   --seed     <u64>               (default 42)
 //!   --faults   <spec>              inject deterministic message faults,
@@ -56,16 +56,19 @@
 //!                                  handles submitting the jobs
 //! ```
 //!
-//! Prints: correctness verdict (globally sorted + permutation), modelled
-//! makespan, phase breakdown, RDFA, message/byte totals.
+//! Prints: correctness verdict (globally sorted + permutation), the
+//! backend's timings (modelled makespan on the simulator, wall clock on
+//! the real backends), phase breakdown, RDFA, message/byte totals.
+//! Usage errors exit 2, failed or corrupt sorts exit 1.
 
+use baselines::Sorter;
 use bench::{fmt_bytes, fmt_time, Table};
 use comm::Communicator;
-use mpisim::telemetry::{Decisions, Json, MemoryReport, RunReport, WorldMeta};
+use mpisim::telemetry::{Decisions, Json, MemoryReport, RunReport, Snapshot, WorldMeta};
 use mpisim::{FaultSpec, NetModel, World};
 use sdssort::{
-    is_globally_sorted, is_permutation_of, rdfa, sds_sort, sds_sort_resilient, ResilienceConfig,
-    SdsConfig, SortError,
+    is_globally_sorted, is_permutation_of, rdfa, sds_sort_resilient, ResilienceConfig, SdsConfig,
+    SortError, SortStats,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -73,7 +76,7 @@ use std::time::Duration;
 
 #[derive(Debug, Clone)]
 struct Args {
-    sorter: String,
+    sorter: Sorter,
     workload: String,
     backend: String,
     transport: String,
@@ -97,7 +100,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        sorter: "sds".into(),
+        sorter: Sorter::Sds,
         workload: "uniform".into(),
         backend: "sim".into(),
         transport: "uds".into(),
@@ -128,7 +131,16 @@ fn parse_args() -> Result<Args, String> {
     };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--sorter" | "--algo" => args.sorter = take(&mut i)?,
+            "--sorter" | "--algo" => {
+                let name = take(&mut i)?;
+                args.sorter = Sorter::parse(&name).ok_or_else(|| {
+                    let names: Vec<&str> = Sorter::ALL.map(Sorter::name).into();
+                    format!(
+                        "unknown sorter {name} (expected one of: {})",
+                        names.join(", ")
+                    )
+                })?;
+            }
             "--workload" => args.workload = take(&mut i)?,
             "--backend" => args.backend = take(&mut i)?,
             "--transport" => args.transport = take(&mut i)?,
@@ -182,121 +194,86 @@ fn parse_args() -> Result<Args, String> {
         }
         i += 1;
     }
+    if args.ranks == 0 {
+        return Err("--ranks must be at least 1".into());
+    }
+    if args.cores == 0 {
+        return Err("--cores must be at least 1".into());
+    }
     Ok(args)
 }
 
-/// The SDS configuration this invocation runs (None for baselines).
-fn sds_cfg(args: &Args) -> Option<SdsConfig> {
-    match args.sorter.as_str() {
-        "sds" | "sds-stable" => {
-            let mut cfg = if args.sorter == "sds-stable" {
-                SdsConfig::stable()
-            } else {
-                SdsConfig::default()
-            };
-            cfg.oversample = args.oversample;
-            Some(cfg)
-        }
-        _ => None,
+impl Args {
+    /// Whether the sorter is an SDS-Sort variant, the only sorters
+    /// `--oversample`, `--resilient` and `--serve` apply to.
+    fn is_sds(&self) -> bool {
+        matches!(self.sorter, Sorter::Sds | Sorter::SdsStable)
     }
-}
 
-/// Dispatch any sorter on any backend: every sorter is generic over
-/// `comm::Communicator`.
-fn run_generic<C: Communicator>(
-    args: &Args,
-    comm: &C,
-    input: Vec<u64>,
-) -> Result<sdssort::SortOutput<u64>, SortError> {
-    match args.sorter.as_str() {
-        "sds" | "sds-stable" => {
-            let cfg = sds_cfg(args).expect("sds sorter");
-            sds_sort(comm, input, &cfg)
+    /// The configuration this run hands to [`Sorter::sort`] (and to the
+    /// resilient driver and the service): the defaults with `--oversample`,
+    /// stable for `sds-stable`.
+    fn cfg(&self) -> SdsConfig {
+        SdsConfig {
+            stable: self.sorter == Sorter::SdsStable,
+            oversample: self.oversample,
+            ..SdsConfig::default()
         }
-        "hyksort" => baselines::hyksort(comm, input, &baselines::HykSortConfig::default()),
-        "samplesort" => {
-            baselines::sample_sort(comm, input, &baselines::SampleSortConfig::default())
-        }
-        "radix" => baselines::radix_sort(comm, input),
-        "bitonic" => Ok(sdssort::SortOutput {
-            data: baselines::bitonic_sort(comm, input),
-            stats: sdssort::SortStats::default(),
-        }),
-        "ams" => algos::ams_sort(comm, input, &algos::AmsConfig::default()),
-        "hss" => algos::hss_sort(comm, input, &algos::HssConfig::default()),
-        other => panic!("unknown sorter {other} (validated before launch)"),
     }
-}
-
-/// Keys for one rank — the shared by-name dispatch, so the CLI, the
-/// service, and the harnesses all agree on what `zipf:0.8` means.
-fn gen_keys(workload: &str, n: usize, seed: u64, rank: usize) -> Result<Vec<u64>, String> {
-    workloads::keys_by_name(workload, n, seed, rank)
 }
 
 /// Per-rank outcome: (globally sorted, permutation, output length, stats).
-type RankResult = Result<(bool, bool, usize, sdssort::SortStats), SortError>;
+type RankOut = (bool, bool, usize, SortStats);
 
-/// Per-rank outcome on the sockets backend, flattened to `Wire`-encodable
-/// scalars: (sorted, permutation, output length, pivot s, exchange s,
-/// local-order s, node merged, overlapped).
-type SocketsRankResult = (bool, bool, u64, f64, f64, f64, bool, bool);
-
-/// Entry name the re-exec'd rank processes dispatch on.
-const SOCKETS_SORT_ENTRY: &str = "sortcli-sort";
-
-/// One rank process of a `--backend sockets` run. The child re-parses its
-/// own argv (the launcher re-execs sortcli with identical arguments), so
-/// no configuration needs to travel through the params payload.
-fn sockets_rank_entry(comm: &sockcomm::SockComm, _params: u64) -> SocketsRankResult {
-    let args = parse_args().expect("parent validated this argv before launching");
-    let input = gen_keys(&args.workload, args.records, args.seed, comm.rank())
+/// One rank on any backend: generate this rank's keys, sort, validate.
+fn rank_body<C: Communicator>(a: &Args, comm: &C) -> Result<RankOut, SortError> {
+    let input = workloads::keys_by_name(&a.workload, a.records, a.seed, comm.rank())
         .expect("workload validated before launch");
-    let o = run_generic(&args, comm, input.clone()).expect("sort failed on sockets rank");
+    let o = match &a.resilient {
+        Some(dir) => {
+            sds_sort_resilient(comm, input.clone(), &a.cfg(), &ResilienceConfig::new(dir))?
+        }
+        None => a.sorter.sort(comm, input.clone(), &a.cfg())?,
+    };
     let sorted = is_globally_sorted(comm, &o.data);
     let permutation = is_permutation_of(comm, &input, &o.data, |&k| k);
-    (
-        sorted,
-        permutation,
-        o.data.len() as u64,
-        o.stats.pivot_s,
-        o.stats.exchange_s,
-        o.stats.local_order_s,
-        o.stats.node_merged,
-        o.stats.overlapped,
-    )
+    Ok((sorted, permutation, o.data.len(), o.stats))
 }
 
-/// Run the sorter with one OS process per rank over real sockets.
-fn run_sorter_sockets(
-    a: &Args,
-    transport: sockcomm::Transport,
-) -> Result<sockcomm::SockReport<SocketsRankResult>, sockcomm::SockError> {
-    sockcomm::SocketWorld::new(a.ranks)
-        .cores_per_node(a.cores)
-        .transport(transport)
-        .run::<u64, SocketsRankResult>(SOCKETS_SORT_ENTRY, &0)
+/// What one backend's run hands to the shared printer and metrics writer.
+struct Run {
+    /// Every rank's outcome, in rank order.
+    ranks: Vec<Result<RankOut, SortError>>,
+    /// Backend-specific timing rows, printed above the phase rows.
+    timing: Vec<[String; 2]>,
+    /// Backend-specific rows printed below the message and byte totals.
+    extra: Vec<[String; 2]>,
+    messages: u64,
+    bytes: u64,
+    /// Traffic by phase (simulator with `--trace` only).
+    trace: Option<Table>,
+    /// Telemetry recorded in this address space (empty on sockets: every
+    /// rank is a separate process).
+    snapshot: Snapshot,
+    world: WorldMeta,
+    memory: MemoryReport,
+    /// Makespan in the backend's time base; on the real backends virtual
+    /// time is wall time.
+    makespan: f64,
+    wall_s: f64,
 }
 
-/// Run the sorter for real on the threads backend (one OS thread per rank,
-/// wall-clock timing).
-fn run_sorter_threads(a: &Args) -> shmem::ThreadReport<RankResult> {
-    let a2 = a.clone();
-    shmem::ThreadWorld::new(a.ranks)
-        .cores_per_node(a.cores)
-        .telemetry(a.metrics_out.is_some())
-        .run(move |comm| -> RankResult {
-            let input = gen_keys(&a2.workload, a2.records, a2.seed, comm.rank())
-                .expect("workload validated before launch");
-            let o = run_generic(&a2, comm, input.clone())?;
-            let sorted = is_globally_sorted(comm, &o.data);
-            let permutation = is_permutation_of(comm, &input, &o.data, |&k| k);
-            Ok((sorted, permutation, o.data.len(), o.stats))
-        })
+/// The world shape of a real backend, which has no simulated topology.
+fn real_world_meta(a: &Args) -> WorldMeta {
+    WorldMeta {
+        ranks: a.ranks,
+        cores_per_node: a.cores,
+        nodes: a.ranks.div_ceil(a.cores),
+    }
 }
 
-#[allow(clippy::type_complexity)]
-fn run_sorter(a: &Args) -> Result<(RankResult, mpisim::runtime::WorldReport<RankResult>), String> {
+/// Run on the deterministic virtual-time simulator.
+fn run_sim(a: &Args) -> Run {
     let mut world = World::new(a.ranks)
         .cores_per_node(a.cores)
         .net(NetModel::edison())
@@ -311,25 +288,124 @@ fn run_sorter(a: &Args) -> Result<(RankResult, mpisim::runtime::WorldReport<Rank
     if let Some(window) = a.collective_timeout {
         world = world.collective_timeout(window);
     }
-    let a2 = a.clone();
-    let report = world.run(
-        move |comm| -> Result<(bool, bool, usize, sdssort::SortStats), SortError> {
-            let input = gen_keys(&a2.workload, a2.records, a2.seed, comm.rank())
-                .expect("workload validated before launch");
-            let o = match (&a2.resilient, sds_cfg(&a2)) {
-                (Some(dir), Some(cfg)) => {
-                    sds_sort_resilient(comm, input.clone(), &cfg, &ResilienceConfig::new(dir))?
-                }
-                _ => run_generic(&a2, comm, input.clone())?,
-            };
-            let (out, stats) = (o.data, o.stats);
-            let sorted = is_globally_sorted(comm, &out);
-            let permutation = is_permutation_of(comm, &input, &out, |&k| k);
-            Ok((sorted, permutation, out.len(), stats))
+    let report = world.run(|comm| rank_body(a, comm));
+    let trace = a.trace.then(|| {
+        let mut tt = Table::new(["phase", "messages", "inter-node", "bytes"]);
+        for (name, tr) in &report.trace_phases {
+            tt.row([
+                name.clone(),
+                tr.total_messages().to_string(),
+                tr.internode_messages(&report.topology).to_string(),
+                fmt_bytes(tr.total_bytes() as usize),
+            ]);
+        }
+        tt
+    });
+    Run {
+        timing: vec![
+            ["modelled makespan".into(), fmt_time(report.makespan)],
+            ["host wall".into(), fmt_time(report.wall.as_secs_f64())],
+        ],
+        extra: vec![[
+            "peak simulated memory".into(),
+            fmt_bytes(report.max_memory_high_water),
+        ]],
+        messages: report.messages,
+        bytes: report.bytes,
+        trace,
+        snapshot: report.telemetry.unwrap_or_default(),
+        world: WorldMeta {
+            ranks: a.ranks,
+            cores_per_node: report.topology.cores_per_node(),
+            nodes: report.topology.num_nodes(),
         },
-    );
-    let first = report.results[0].clone();
-    Ok((first, report))
+        memory: MemoryReport {
+            budget: report.memory_budget.map(|b| b as u64),
+            max_high_water: report.max_memory_high_water as u64,
+            per_rank_high_water: report
+                .per_rank_memory_high_water
+                .iter()
+                .map(|&b| b as u64)
+                .collect(),
+        },
+        makespan: report.makespan,
+        wall_s: report.wall.as_secs_f64(),
+        ranks: report.results,
+    }
+}
+
+/// Run for real with one OS thread per rank; times are wall-clock seconds.
+fn run_threads(a: &Args) -> Run {
+    let report = shmem::ThreadWorld::new(a.ranks)
+        .cores_per_node(a.cores)
+        .telemetry(a.metrics_out.is_some())
+        .run(|comm| rank_body(a, comm));
+    Run {
+        timing: vec![
+            ["wall clock".into(), fmt_time(report.wall_s)],
+            [
+                "slowest rank".into(),
+                fmt_time(slowest(&report.per_rank_wall)),
+            ],
+        ],
+        extra: Vec::new(),
+        messages: report.messages,
+        bytes: report.bytes,
+        trace: None,
+        snapshot: report.telemetry.unwrap_or_default(),
+        world: real_world_meta(a),
+        memory: MemoryReport::default(),
+        makespan: report.wall_s,
+        wall_s: report.wall_s,
+        ranks: report.results,
+    }
+}
+
+/// Entry name the re-exec'd rank processes dispatch on.
+const SOCKETS_SORT_ENTRY: &str = "sortcli-sort";
+
+/// One rank process of a `--backend sockets` run. The child re-parses its
+/// own argv (the launcher re-execs sortcli with identical arguments), so
+/// no configuration needs to travel through the params payload.
+fn sockets_rank_entry(comm: &sockcomm::SockComm, _params: u64) -> RankOut {
+    let args = parse_args().expect("parent validated this argv before launching");
+    rank_body(&args, comm).expect("sort failed on sockets rank")
+}
+
+/// Run for real with one OS process per rank over sockets; times are
+/// wall-clock seconds, and `wall clock` includes process spawn and
+/// rendezvous.
+fn run_sockets(a: &Args) -> Result<Run, sockcomm::SockError> {
+    let transport =
+        sockcomm::Transport::parse(&a.transport).expect("transport validated before launch");
+    println!("transport: {} (process per rank)", transport.as_str());
+    let report = sockcomm::SocketWorld::new(a.ranks)
+        .cores_per_node(a.cores)
+        .transport(transport)
+        .run::<u64, RankOut>(SOCKETS_SORT_ENTRY, &0)?;
+    Ok(Run {
+        timing: vec![
+            ["wall clock (launch + sort)".into(), fmt_time(report.wall_s)],
+            [
+                "slowest rank".into(),
+                fmt_time(slowest(&report.per_rank_wall)),
+            ],
+        ],
+        extra: Vec::new(),
+        messages: report.messages,
+        bytes: report.bytes,
+        trace: None,
+        snapshot: Snapshot::default(),
+        world: real_world_meta(a),
+        memory: MemoryReport::default(),
+        makespan: report.wall_s,
+        wall_s: report.wall_s,
+        ranks: report.results.into_iter().map(Ok).collect(),
+    })
+}
+
+fn slowest(per_rank_wall: &[f64]) -> f64 {
+    per_rank_wall.iter().copied().fold(0.0, f64::max)
 }
 
 fn main() -> ExitCode {
@@ -367,26 +443,24 @@ fn main() -> ExitCode {
             }
         };
     }
-    match args.sorter.as_str() {
-        "sds" | "sds-stable" | "hyksort" | "samplesort" | "bitonic" | "radix" | "ams" | "hss" => {}
-        other => {
-            eprintln!("error: unknown sorter {other}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Err(e) = gen_keys(&args.workload, 1, 0, 0) {
+    if let Err(e) = workloads::keys_by_name(&args.workload, 1, 0, 0) {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
-    if args.resilient.is_some() && sds_cfg(&args).is_none() {
-        eprintln!("error: --resilient applies to the sds sorters only");
-        return ExitCode::from(2);
+    if !args.is_sds() {
+        let sds_only = [
+            (args.oversample != 1, "--oversample"),
+            (args.resilient.is_some(), "--resilient"),
+            (args.serve, "--serve"),
+        ];
+        for (set, flag) in sds_only {
+            if set {
+                eprintln!("error: {flag} applies to the sds sorters only");
+                return ExitCode::from(2);
+            }
+        }
     }
     if args.serve {
-        if sds_cfg(&args).is_none() {
-            eprintln!("error: --serve runs the sds sorters only");
-            return ExitCode::from(2);
-        }
         if args.clients == 0 {
             eprintln!("error: --clients must be at least 1");
             return ExitCode::from(2);
@@ -427,12 +501,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    if args.backend == "threads" || args.backend == "sockets" {
-        let backend = &args.backend;
-        if args.oversample != 1 && sds_cfg(&args).is_none() {
-            eprintln!("error: --oversample applies to the sds sorters only");
-            return ExitCode::from(2);
-        }
+    if args.backend != "sim" {
         let simulator_only = [
             (args.faults.is_some(), "--faults"),
             (args.collective_timeout.is_some(), "--collective-timeout"),
@@ -442,7 +511,10 @@ fn main() -> ExitCode {
         ];
         for (set, flag) in simulator_only {
             if set {
-                eprintln!("error: {flag} is simulator-only (remove --backend {backend})");
+                eprintln!(
+                    "error: {flag} is simulator-only (remove --backend {})",
+                    args.backend
+                );
                 return ExitCode::from(2);
             }
         }
@@ -450,7 +522,7 @@ fn main() -> ExitCode {
 
     println!(
         "sortcli: {} on {} | p = {}, {} records/rank, {} cores/node, {} backend{}",
-        args.sorter,
+        args.sorter.name(),
         args.workload,
         args.ranks,
         args.records,
@@ -464,210 +536,43 @@ fn main() -> ExitCode {
         println!("faults: {spec}");
     }
 
-    if args.backend == "threads" {
-        return threads_main(&args);
-    }
-    if args.backend == "sockets" {
-        return sockets_main(&args);
-    }
-
-    let (first, report) = run_sorter(&args).expect("validated");
-    match first {
-        Err(e) => {
-            println!("\nresult: FAILED — {e}");
-            println!("(the paper's imbalance-induced crash, reproduced under the memory budget)");
-            ExitCode::from(1)
-        }
-        Ok(_) => {
-            let all_ok = report
-                .results
-                .iter()
-                .all(|r| matches!(r, Ok((sorted, perm, _, _)) if *sorted && *perm));
-            let loads: Vec<usize> = report
-                .results
-                .iter()
-                .map(|r| r.as_ref().expect("checked ok").2)
-                .collect();
-            let stats = report.results[0].as_ref().expect("checked ok").3;
-            println!(
-                "\nresult: {}",
-                if all_ok {
-                    "OK (sorted, permutation)"
-                } else {
-                    "CORRUPT"
-                }
-            );
-            let mut t = Table::new(["metric", "value"]);
-            t.row(["modelled makespan".to_string(), fmt_time(report.makespan)]);
-            t.row(["host wall".to_string(), fmt_time(report.wall.as_secs_f64())]);
-            t.row(["pivot phase (rank 0)".to_string(), fmt_time(stats.pivot_s)]);
-            t.row([
-                "exchange phase (rank 0)".to_string(),
-                fmt_time(stats.exchange_s),
-            ]);
-            t.row([
-                "ordering phase (rank 0)".to_string(),
-                fmt_time(stats.local_order_s),
-            ]);
-            t.row([
-                "node merged (τm)".to_string(),
-                stats.node_merged.to_string(),
-            ]);
-            t.row(["RDFA".to_string(), format!("{:.4}", rdfa(&loads))]);
-            t.row(["messages".to_string(), report.messages.to_string()]);
-            t.row(["bytes".to_string(), fmt_bytes(report.bytes as usize)]);
-            t.row([
-                "peak simulated memory".to_string(),
-                fmt_bytes(report.max_memory_high_water),
-            ]);
-            t.print();
-            if stats.spilled {
-                println!(
-                    "note: memory pressure tripped graceful degradation — {} received\n\
-                     records were spilled through disk runs instead of aborting.",
-                    stats.spill_records
-                );
+    let run = match args.backend.as_str() {
+        "threads" => run_threads(&args),
+        "sockets" => match run_sockets(&args) {
+            Ok(run) => run,
+            Err(e) => {
+                println!("\nresult: FAILED — {e}");
+                return ExitCode::from(1);
             }
-            if stats.node_merged {
-                println!(
-                    "note: node-level merging ran (avg message below τm), so output\n\
-                     concentrates on node leaders — RDFA counts the empty non-leaders."
-                );
-            }
-            if args.trace {
-                println!("\ntraffic by phase:");
-                let mut tt = Table::new(["phase", "messages", "inter-node", "bytes"]);
-                for (name, tr) in &report.trace_phases {
-                    tt.row([
-                        name.clone(),
-                        tr.total_messages().to_string(),
-                        tr.internode_messages(&report.topology).to_string(),
-                        fmt_bytes(tr.total_bytes() as usize),
-                    ]);
-                }
-                tt.print();
-            }
-            if let Some(out) = &args.metrics_out {
-                match write_metrics(out, &args, &report, &loads, &stats) {
-                    Ok(path) => println!("metrics: wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("error writing metrics: {e}");
-                        return ExitCode::from(1);
-                    }
-                }
-            }
-            if all_ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-    }
+        },
+        _ => run_sim(&args),
+    };
+    report(&args, run)
 }
 
-/// Run, validate, report, and optionally emit metrics on the threads
-/// backend. Times printed here are real wall-clock seconds.
-fn threads_main(args: &Args) -> ExitCode {
-    let report = run_sorter_threads(args);
-    match &report.results[0] {
+/// Print the verdict and result table of any backend's run, and write its
+/// metrics when asked to.
+fn report(args: &Args, run: Run) -> ExitCode {
+    let ranks = match run
+        .ranks
+        .iter()
+        .cloned()
+        .collect::<Result<Vec<RankOut>, _>>()
+    {
+        Ok(ranks) => ranks,
         Err(e) => {
             println!("\nresult: FAILED — {e}");
-            ExitCode::from(1)
-        }
-        Ok(_) => {
-            let all_ok = report
-                .results
-                .iter()
-                .all(|r| matches!(r, Ok((sorted, perm, _, _)) if *sorted && *perm));
-            let loads: Vec<usize> = report
-                .results
-                .iter()
-                .map(|r| r.as_ref().expect("checked ok").2)
-                .collect();
-            let stats = report.results[0].as_ref().expect("checked ok").3;
-            println!(
-                "\nresult: {}",
-                if all_ok {
-                    "OK (sorted, permutation)"
-                } else {
-                    "CORRUPT"
-                }
-            );
-            let mut t = Table::new(["metric", "value"]);
-            t.row(["wall clock".to_string(), fmt_time(report.wall_s)]);
-            t.row([
-                "slowest rank".to_string(),
-                fmt_time(report.per_rank_wall.iter().copied().fold(0.0, f64::max)),
-            ]);
-            t.row(["pivot phase (rank 0)".to_string(), fmt_time(stats.pivot_s)]);
-            t.row([
-                "exchange phase (rank 0)".to_string(),
-                fmt_time(stats.exchange_s),
-            ]);
-            t.row([
-                "ordering phase (rank 0)".to_string(),
-                fmt_time(stats.local_order_s),
-            ]);
-            t.row([
-                "node merged (τm)".to_string(),
-                stats.node_merged.to_string(),
-            ]);
-            t.row(["RDFA".to_string(), format!("{:.4}", rdfa(&loads))]);
-            t.row(["messages".to_string(), report.messages.to_string()]);
-            t.row(["bytes".to_string(), fmt_bytes(report.bytes as usize)]);
-            t.print();
-            if stats.node_merged {
+            if args.budget.is_some() {
                 println!(
-                    "note: node-level merging ran (avg message below τm), so output\n\
-                     concentrates on node leaders — RDFA counts the empty non-leaders."
+                    "(the paper's imbalance-induced crash, reproduced under the memory budget)"
                 );
             }
-            if let Some(out) = &args.metrics_out {
-                match write_metrics_threads(out, args, &report, &loads, &stats) {
-                    Ok(path) => println!("metrics: wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("error writing metrics: {e}");
-                        return ExitCode::from(1);
-                    }
-                }
-            }
-            if all_ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-    }
-}
-
-/// Run, validate, report, and optionally emit metrics on the sockets
-/// backend (one OS process per rank). Times are real wall-clock seconds;
-/// `wall clock` additionally includes process spawn + rendezvous.
-fn sockets_main(args: &Args) -> ExitCode {
-    let transport =
-        sockcomm::Transport::parse(&args.transport).expect("transport validated before launch");
-    println!("transport: {} (process per rank)", transport.as_str());
-    let report = match run_sorter_sockets(args, transport) {
-        Ok(r) => r,
-        Err(e) => {
-            println!("\nresult: FAILED — {e}");
             return ExitCode::from(1);
         }
     };
-    let all_ok = report
-        .results
-        .iter()
-        .all(|&(sorted, perm, ..)| sorted && perm);
-    let loads: Vec<usize> = report.results.iter().map(|r| r.2 as usize).collect();
-    let r0 = report.results[0];
-    let stats = sdssort::SortStats {
-        pivot_s: r0.3,
-        exchange_s: r0.4,
-        local_order_s: r0.5,
-        node_merged: r0.6,
-        overlapped: r0.7,
-        ..Default::default()
-    };
+    let all_ok = ranks.iter().all(|&(sorted, perm, ..)| sorted && perm);
+    let loads: Vec<usize> = ranks.iter().map(|r| r.2).collect();
+    let stats = ranks[0].3;
     println!(
         "\nresult: {}",
         if all_ok {
@@ -677,14 +582,9 @@ fn sockets_main(args: &Args) -> ExitCode {
         }
     );
     let mut t = Table::new(["metric", "value"]);
-    t.row([
-        "wall clock (launch + sort)".to_string(),
-        fmt_time(report.wall_s),
-    ]);
-    t.row([
-        "slowest rank".to_string(),
-        fmt_time(report.per_rank_wall.iter().copied().fold(0.0, f64::max)),
-    ]);
+    for row in &run.timing {
+        t.row(row.clone());
+    }
     t.row(["pivot phase (rank 0)".to_string(), fmt_time(stats.pivot_s)]);
     t.row([
         "exchange phase (rank 0)".to_string(),
@@ -699,17 +599,31 @@ fn sockets_main(args: &Args) -> ExitCode {
         stats.node_merged.to_string(),
     ]);
     t.row(["RDFA".to_string(), format!("{:.4}", rdfa(&loads))]);
-    t.row(["messages".to_string(), report.messages.to_string()]);
-    t.row(["bytes".to_string(), fmt_bytes(report.bytes as usize)]);
+    t.row(["messages".to_string(), run.messages.to_string()]);
+    t.row(["bytes".to_string(), fmt_bytes(run.bytes as usize)]);
+    for row in &run.extra {
+        t.row(row.clone());
+    }
     t.print();
+    if stats.spilled {
+        println!(
+            "note: memory pressure tripped graceful degradation — {} received\n\
+             records were spilled through disk runs instead of aborting.",
+            stats.spill_records
+        );
+    }
     if stats.node_merged {
         println!(
             "note: node-level merging ran (avg message below τm), so output\n\
              concentrates on node leaders — RDFA counts the empty non-leaders."
         );
     }
+    if let Some(tt) = &run.trace {
+        println!("\ntraffic by phase:");
+        tt.print();
+    }
     if let Some(out) = &args.metrics_out {
-        match write_metrics_sockets(out, args, &report, &loads, &stats) {
+        match write_metrics(out, args, run, &loads, &stats) {
             Ok(path) => println!("metrics: wrote {}", path.display()),
             Err(e) => {
                 eprintln!("error writing metrics: {e}");
@@ -731,7 +645,7 @@ fn sockets_main(args: &Args) -> ExitCode {
 fn serve_main(args: &Args) -> ExitCode {
     let mut cfg = service::ServiceConfig::new(args.ranks);
     cfg.cores_per_node = args.cores;
-    cfg.sort = sds_cfg(args).expect("validated: --serve runs sds only");
+    cfg.sort = args.cfg();
     let load = service::LoadGen::new(args.workload.clone(), args.records, args.seed);
     println!(
         "sortsvc: {} on {} resident ranks | {} jobs from {} clients, >= {} records/rank",
@@ -763,20 +677,23 @@ fn serve_main(args: &Args) -> ExitCode {
     }
 }
 
-/// The config and decision fields shared by both backends' RunReports.
-fn base_run_report(
+/// Assemble and write the telemetry [`RunReport`] for a successful run. A
+/// `.json` path is written as-is; any other path is treated as a directory
+/// receiving `BENCH_sortcli.json`.
+fn write_metrics(
+    out: &Path,
     args: &Args,
-    snapshot: mpisim::telemetry::Snapshot,
+    run: Run,
     loads: &[usize],
-    stats: &sdssort::SortStats,
-) -> RunReport {
-    let mut run = RunReport::from_snapshot(
+    stats: &SortStats,
+) -> std::io::Result<PathBuf> {
+    let mut report = RunReport::from_snapshot(
         "sortcli",
-        snapshot,
+        run.snapshot,
         loads.iter().map(|&l| l as u64).collect(),
     );
-    run.config = [
-        ("sorter", Json::from(args.sorter.clone())),
+    report.config = [
+        ("sorter", Json::from(args.sorter.name())),
         ("workload", Json::from(args.workload.clone())),
         ("backend", Json::from(args.backend.clone())),
         ("git_rev", Json::from(bench::git_rev())),
@@ -794,21 +711,25 @@ fn base_run_report(
     .into_iter()
     .map(|(k, v)| (k.to_string(), v))
     .collect();
-    let cfg = sds_cfg(args);
-    run.decisions = Decisions {
-        tau_m_bytes: cfg.as_ref().map_or(0, |c| c.tau_m_bytes as u64),
-        tau_o: cfg.as_ref().map_or(0, |c| c.tau_o as u64),
-        tau_s: cfg.as_ref().map_or(0, |c| c.tau_s as u64),
-        stable: cfg.as_ref().is_some_and(|c| c.stable),
+    if args.backend == "sockets" {
+        report
+            .config
+            .push(("transport".to_string(), Json::from(args.transport.clone())));
+    }
+    let cfg = args.is_sds().then(|| args.cfg());
+    report.decisions = Decisions {
+        tau_m_bytes: cfg.map_or(0, |c| c.tau_m_bytes as u64),
+        tau_o: cfg.map_or(0, |c| c.tau_o as u64),
+        tau_s: cfg.map_or(0, |c| c.tau_s as u64),
+        stable: cfg.is_some_and(|c| c.stable),
         node_merged: stats.node_merged,
         overlapped: stats.overlapped,
     };
-    run
-}
+    report.world = run.world;
+    report.memory = run.memory;
+    report.makespan_v = run.makespan;
+    report.wall_s = run.wall_s;
 
-/// Resolve the output path: a `.json` path is written as-is; any other
-/// path is treated as a directory receiving `BENCH_sortcli.json`.
-fn metrics_path(out: &Path) -> std::io::Result<PathBuf> {
     let path = if out.extension().is_some_and(|e| e == "json") {
         out.to_path_buf()
     } else {
@@ -819,103 +740,6 @@ fn metrics_path(out: &Path) -> std::io::Result<PathBuf> {
             std::fs::create_dir_all(parent)?;
         }
     }
-    Ok(path)
-}
-
-/// Write the [`RunReport`] for a threads-backend run. Every duration in
-/// the report — spans, phase times, makespan — is wall-clock seconds.
-fn write_metrics_threads<R>(
-    out: &Path,
-    args: &Args,
-    report: &shmem::ThreadReport<R>,
-    loads: &[usize],
-    stats: &sdssort::SortStats,
-) -> std::io::Result<PathBuf> {
-    let snapshot = report.telemetry.clone().unwrap_or_default();
-    let mut run = base_run_report(args, snapshot, loads, stats);
-    run.world = WorldMeta {
-        ranks: args.ranks,
-        cores_per_node: args.cores,
-        nodes: args.ranks.div_ceil(args.cores),
-    };
-    run.memory = MemoryReport {
-        budget: None,
-        max_high_water: 0,
-        per_rank_high_water: Vec::new(),
-    };
-    // On this backend virtual time IS wall time: the makespan is the
-    // world's measured wall clock.
-    run.makespan_v = report.wall_s;
-    run.wall_s = report.wall_s;
-
-    let path = metrics_path(out)?;
-    std::fs::write(&path, run.to_json_string() + "\n")?;
-    Ok(path)
-}
-
-/// Write the [`RunReport`] for a sockets-backend run. Durations are
-/// wall-clock seconds measured across real processes; there is no
-/// telemetry snapshot (each rank is a separate address space), so the
-/// report carries the config, decisions, loads, and timing only.
-fn write_metrics_sockets(
-    out: &Path,
-    args: &Args,
-    report: &sockcomm::SockReport<SocketsRankResult>,
-    loads: &[usize],
-    stats: &sdssort::SortStats,
-) -> std::io::Result<PathBuf> {
-    let mut run = base_run_report(args, Default::default(), loads, stats);
-    run.config
-        .push(("transport".to_string(), Json::from(args.transport.clone())));
-    run.world = WorldMeta {
-        ranks: args.ranks,
-        cores_per_node: args.cores,
-        nodes: args.ranks.div_ceil(args.cores),
-    };
-    run.memory = MemoryReport {
-        budget: None,
-        max_high_water: 0,
-        per_rank_high_water: Vec::new(),
-    };
-    // Real processes: virtual time IS wall time.
-    run.makespan_v = report.wall_s;
-    run.wall_s = report.wall_s;
-
-    let path = metrics_path(out)?;
-    std::fs::write(&path, run.to_json_string() + "\n")?;
-    Ok(path)
-}
-
-/// Assemble and write the telemetry [`RunReport`] for a successful run. A
-/// `.json` path is written as-is; any other path is treated as a directory
-/// receiving `BENCH_sortcli.json`.
-fn write_metrics<R>(
-    out: &Path,
-    args: &Args,
-    report: &mpisim::WorldReport<R>,
-    loads: &[usize],
-    stats: &sdssort::SortStats,
-) -> std::io::Result<PathBuf> {
-    let snapshot = report.telemetry.clone().unwrap_or_default();
-    let mut run = base_run_report(args, snapshot, loads, stats);
-    run.world = WorldMeta {
-        ranks: args.ranks,
-        cores_per_node: report.topology.cores_per_node(),
-        nodes: report.topology.num_nodes(),
-    };
-    run.memory = MemoryReport {
-        budget: report.memory_budget.map(|b| b as u64),
-        max_high_water: report.max_memory_high_water as u64,
-        per_rank_high_water: report
-            .per_rank_memory_high_water
-            .iter()
-            .map(|&b| b as u64)
-            .collect(),
-    };
-    run.makespan_v = report.makespan;
-    run.wall_s = report.wall.as_secs_f64();
-
-    let path = metrics_path(out)?;
-    std::fs::write(&path, run.to_json_string() + "\n")?;
+    std::fs::write(&path, report.to_json_string() + "\n")?;
     Ok(path)
 }

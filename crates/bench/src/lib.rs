@@ -3,7 +3,8 @@
 //! One binary per table/figure of the paper (see `src/bin/`), plus
 //! Criterion micro-benchmarks (`benches/`). This library holds the shared
 //! plumbing: scaled experiment sizes, table printing, world construction,
-//! and sorter dispatch.
+//! and the harness configuration every sorter of the
+//! [`Sorter`](baselines::Sorter) registry runs with.
 //!
 //! Every harness prints (a) the paper's rows/series at our reduced scale
 //! and (b) a `shape:` verdict line summarizing whether the qualitative
@@ -12,14 +13,15 @@
 //! Scale control: set `BENCH_SCALE=full` for larger sweeps (default
 //! `small` finishes in seconds per harness).
 
-use mpisim::{Comm, Communicator, NetModel, World};
-use sdssort::{sds_sort, ComputeCharge, ComputeModel, SdsConfig, SortError, SortOutput, Sortable};
+use mpisim::{Communicator, NetModel, World};
+use sdssort::{ComputeCharge, ComputeModel, SdsConfig, SortError, SortOutput, SortStats, Sortable};
 use std::time::Instant;
 
 pub mod emit;
 pub mod experiments;
 pub mod table;
 
+pub use baselines::Sorter;
 pub use emit::{metrics_out_path, Emitter};
 pub use table::{fmt_bytes, fmt_time, Table};
 
@@ -60,57 +62,6 @@ pub fn modeled_world(p: usize) -> World {
         .cores_per_node(24)
         .net(NetModel::edison())
         .compute_scale(0.0)
-}
-
-/// Which sorter a harness runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Sorter {
-    /// SDS-Sort, fast (unstable) variant.
-    Sds,
-    /// SDS-Sort, stable variant.
-    SdsStable,
-    /// HykSort baseline.
-    HykSort,
-    /// Multi-level AMS-sort peer (`crates/algos`).
-    Ams,
-    /// Histogram Sort with Sampling peer (`crates/algos`).
-    Hss,
-}
-
-impl Sorter {
-    /// Display label matching the paper's figure legends.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Sorter::Sds => "SDS-Sort",
-            Sorter::SdsStable => "SDS-Sort/stable",
-            Sorter::HykSort => "HykSort",
-            Sorter::Ams => "AMS-sort",
-            Sorter::Hss => "HSS",
-        }
-    }
-
-    /// Stable wire code for the sockets bench entry (process boundary).
-    pub fn code(self) -> u8 {
-        match self {
-            Sorter::Sds => 0,
-            Sorter::SdsStable => 1,
-            Sorter::HykSort => 2,
-            Sorter::Ams => 3,
-            Sorter::Hss => 4,
-        }
-    }
-
-    /// Inverse of [`Sorter::code`].
-    pub fn from_code(code: u8) -> Option<Sorter> {
-        match code {
-            0 => Some(Sorter::Sds),
-            1 => Some(Sorter::SdsStable),
-            2 => Some(Sorter::HykSort),
-            3 => Some(Sorter::Ams),
-            4 => Some(Sorter::Hss),
-            _ => None,
-        }
-    }
 }
 
 /// Which execution backend a harness runs on, from the `BENCH_BACKEND`
@@ -157,6 +108,30 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// The configuration every harness runs: `cfg` of [`Sorter::sort`], so
+/// the SDS variants get these knobs and every competitor its default
+/// configuration with `charge`.
+///
+/// Node merging is disabled (τm = 0) in the comparative harnesses: our
+/// memory budget is per rank, while node merging concentrates a node's
+/// data on its leader by design (the real machine's budget is per
+/// *node*). Fig. 5a studies node merging in isolation.
+///
+/// τo and τs are machine-specific tuning knobs: the paper calibrates
+/// 4096/4000 for Edison (Figs. 5b/5c); our Fig. 5b/5c harnesses locate the
+/// crossovers near 16 and 8 on the simulated machine, so the comparative
+/// runs — on every backend, so cross-backend sweeps compare identical
+/// algorithm configurations — use those.
+pub fn harness_cfg(charge: ComputeCharge) -> SdsConfig {
+    SdsConfig {
+        charge,
+        tau_m_bytes: 0,
+        tau_o: 16,
+        tau_s: 8,
+        ..SdsConfig::default()
+    }
+}
+
 /// Outcome of one distributed-sort run.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -165,7 +140,7 @@ pub struct RunOutcome {
     /// Per-rank post-exchange loads (empty on failure).
     pub loads: Vec<usize>,
     /// Phase maxima across ranks (zeroed on failure).
-    pub phases: sdssort::SortStats,
+    pub phases: SortStats,
     /// Host wall time of the simulation.
     pub wall_s: f64,
 }
@@ -178,6 +153,43 @@ impl RunOutcome {
         } else {
             sdssort::rdfa(&self.loads)
         }
+    }
+
+    fn failed(wall_s: f64) -> Self {
+        RunOutcome {
+            time_s: None,
+            loads: Vec::new(),
+            phases: SortStats::default(),
+            wall_s,
+        }
+    }
+
+    /// A completed run from every rank's (output length, stats).
+    fn completed(
+        time_s: f64,
+        wall_s: f64,
+        ranks: impl Iterator<Item = (usize, SortStats)>,
+    ) -> Self {
+        let (loads, stats): (Vec<usize>, Vec<SortStats>) = ranks.unzip();
+        RunOutcome {
+            time_s: Some(time_s),
+            loads,
+            phases: sdssort::stats::phase_maxima(&stats),
+            wall_s,
+        }
+    }
+
+    /// Failed if any rank failed, else completed in `time_s`.
+    fn from_results<T>(
+        results: &[Result<SortOutput<T>, SortError>],
+        time_s: f64,
+        wall_s: f64,
+    ) -> Self {
+        if results.iter().any(Result::is_err) {
+            return RunOutcome::failed(wall_s);
+        }
+        let ranks = results.iter().flatten().map(|o| (o.data.len(), o.stats));
+        RunOutcome::completed(time_s, wall_s, ranks)
     }
 }
 
@@ -199,61 +211,11 @@ where
     if let Some(b) = budget {
         world = world.memory_budget(b);
     }
+    let cfg = harness_cfg(ComputeCharge::Modeled(model));
     let started = Instant::now();
-    let report = world.run(|comm| run_one(sorter, comm, gen(comm.rank()), model));
+    let report = world.run(|comm| sorter.sort(comm, gen(comm.rank()), &cfg));
     let wall_s = started.elapsed().as_secs_f64();
-    let ok = report.results.iter().all(Result::is_ok);
-    if !ok {
-        return RunOutcome {
-            time_s: None,
-            loads: Vec::new(),
-            phases: sdssort::SortStats::default(),
-            wall_s,
-        };
-    }
-    let stats: Vec<sdssort::SortStats> = report
-        .results
-        .iter()
-        .map(|r| r.as_ref().expect("checked ok").stats)
-        .collect();
-    let loads = report
-        .results
-        .iter()
-        .map(|r| r.as_ref().expect("checked ok").data.len())
-        .collect();
-    RunOutcome {
-        time_s: Some(report.makespan),
-        loads,
-        phases: sdssort::stats::phase_maxima(&stats),
-        wall_s,
-    }
-}
-
-/// Dispatch a sorter on any [`Communicator`] backend with *measured*
-/// compute charging and the same τ knobs as the simulator harnesses
-/// (`τm = 0`, `τo = 16`, `τs = 8`) so cross-backend sweeps compare
-/// identical algorithm configurations.
-pub fn run_one_measured<T: Sortable, C: Communicator>(
-    sorter: Sorter,
-    comm: &C,
-    data: Vec<T>,
-) -> Result<SortOutput<T>, SortError> {
-    match sorter {
-        Sorter::Sds | Sorter::SdsStable => {
-            let mut cfg = if sorter == Sorter::SdsStable {
-                SdsConfig::stable()
-            } else {
-                SdsConfig::default()
-            };
-            cfg.tau_m_bytes = 0;
-            cfg.tau_o = 16;
-            cfg.tau_s = 8;
-            sds_sort(comm, data, &cfg)
-        }
-        Sorter::Ams => algos::ams_sort(comm, data, &algos::AmsConfig::default()),
-        Sorter::Hss => algos::hss_sort(comm, data, &algos::HssConfig::default()),
-        Sorter::HykSort => baselines::hyksort(comm, data, &baselines::HykSortConfig::default()),
-    }
+    RunOutcome::from_results(&report.results, report.makespan, wall_s)
 }
 
 /// Run a sorter for real on the threads backend (`crates/shmem`): one OS
@@ -265,34 +227,11 @@ where
     T: Sortable,
     G: Fn(usize) -> Vec<T> + Send + Sync,
 {
+    let cfg = harness_cfg(ComputeCharge::Measured);
     let report = shmem::ThreadWorld::new(p)
         .cores_per_node(24)
-        .run(|comm| run_one_measured(sorter, comm, gen(comm.rank())));
-    let ok = report.results.iter().all(Result::is_ok);
-    if !ok {
-        return RunOutcome {
-            time_s: None,
-            loads: Vec::new(),
-            phases: sdssort::SortStats::default(),
-            wall_s: report.wall_s,
-        };
-    }
-    let stats: Vec<sdssort::SortStats> = report
-        .results
-        .iter()
-        .map(|r| r.as_ref().expect("checked ok").stats)
-        .collect();
-    let loads = report
-        .results
-        .iter()
-        .map(|r| r.as_ref().expect("checked ok").data.len())
-        .collect();
-    RunOutcome {
-        time_s: Some(report.wall_s),
-        loads,
-        phases: sdssort::stats::phase_maxima(&stats),
-        wall_s: report.wall_s,
-    }
+        .run(|comm| sorter.sort(comm, gen(comm.rank()), &cfg));
+    RunOutcome::from_results(&report.results, report.wall_s, report.wall_s)
 }
 
 /// Entry name the sockets bench worlds dispatch on. A binary that calls
@@ -300,31 +239,23 @@ where
 /// `main`, or its re-exec'd rank processes will never find the entry.
 pub const SOCKETS_BENCH_ENTRY: &str = "bench-sds-uniform";
 
-/// Per-rank result of the sockets bench entry, flattened to `Wire`
-/// scalars: (output len, wall s, pivot s, exchange s, local-order s,
-/// other s, node merged, overlapped).
-type SockBenchResult = (u64, f64, f64, f64, f64, f64, bool, bool);
-
 /// Child-side hook for [`run_sorter_sockets`]: diverts re-exec'd rank
-/// processes into the bench sort entry; a no-op in the parent.
+/// processes into the bench sort entry; a no-op in the parent. The
+/// parameters are the sorter's index into [`Sorter::ALL`] and the records
+/// per rank; each rank returns its output length, sort seconds and stats.
 pub fn sockets_bench_child() {
     sockcomm::child_rank(
         SOCKETS_BENCH_ENTRY,
-        |comm, (code, n_rank): (u8, u64)| -> SockBenchResult {
-            let sorter = Sorter::from_code(code).expect("sockets bench rank: bad sorter code");
-            let data = workloads::uniform_u64(n_rank as usize, 0xF167, comm.rank());
+        |comm, (index, n_rank): (usize, usize)| -> (usize, f64, SortStats) {
+            let sorter = *Sorter::ALL
+                .get(index)
+                .expect("sockets bench rank: bad sorter index");
+            let data = workloads::uniform_u64(n_rank, 0xF167, comm.rank());
             let t0 = Instant::now();
-            let o = run_one_measured(sorter, comm, data).expect("sockets bench rank: sort failed");
-            (
-                o.data.len() as u64,
-                t0.elapsed().as_secs_f64(),
-                o.stats.pivot_s,
-                o.stats.exchange_s,
-                o.stats.local_order_s,
-                o.stats.other_s,
-                o.stats.node_merged,
-                o.stats.overlapped,
-            )
+            let o = sorter
+                .sort(comm, data, &harness_cfg(ComputeCharge::Measured))
+                .expect("sockets bench rank: sort failed");
+            (o.data.len(), t0.elapsed().as_secs_f64(), o.stats)
         },
     );
 }
@@ -336,97 +267,22 @@ pub fn sockets_bench_child() {
 /// launcher's wall clock and additionally includes process spawn and
 /// rendezvous (see EXPERIMENTS.md).
 pub fn run_sorter_sockets(sorter: Sorter, p: usize, n_rank: usize) -> RunOutcome {
+    let index = Sorter::ALL
+        .iter()
+        .position(|&s| s == sorter)
+        .expect("every sorter is in Sorter::ALL");
     let world = sockcomm::SocketWorld::new(p).cores_per_node(24);
     match world
-        .run::<(u8, u64), SockBenchResult>(SOCKETS_BENCH_ENTRY, &(sorter.code(), n_rank as u64))
+        .run::<(usize, usize), (usize, f64, SortStats)>(SOCKETS_BENCH_ENTRY, &(index, n_rank))
     {
         Err(e) => {
             eprintln!("sockets bench world failed: {e}");
-            RunOutcome {
-                time_s: None,
-                loads: Vec::new(),
-                phases: sdssort::SortStats::default(),
-                wall_s: 0.0,
-            }
+            RunOutcome::failed(0.0)
         }
         Ok(report) => {
-            let stats: Vec<sdssort::SortStats> = report
-                .results
-                .iter()
-                .map(|r| sdssort::SortStats {
-                    pivot_s: r.2,
-                    exchange_s: r.3,
-                    local_order_s: r.4,
-                    other_s: r.5,
-                    recv_count: r.0 as usize,
-                    node_merged: r.6,
-                    overlapped: r.7,
-                    ..Default::default()
-                })
-                .collect();
             let slowest_sort = report.results.iter().map(|r| r.1).fold(0.0f64, f64::max);
-            RunOutcome {
-                time_s: Some(slowest_sort),
-                loads: report.results.iter().map(|r| r.0 as usize).collect(),
-                phases: sdssort::stats::phase_maxima(&stats),
-                wall_s: report.wall_s,
-            }
-        }
-    }
-}
-
-fn run_one<T: Sortable>(
-    sorter: Sorter,
-    comm: &mut Comm,
-    data: Vec<T>,
-    model: ComputeModel,
-) -> Result<SortOutput<T>, SortError> {
-    // Node merging is disabled (τm = 0) in the comparative harnesses: our
-    // memory budget is per rank, while node merging concentrates a node's
-    // data on its leader by design (the real machine's budget is per
-    // *node*). Fig. 5a studies node merging in isolation.
-    //
-    // τo and τs are machine-specific tuning knobs: the paper calibrates
-    // 4096/4000 for Edison (Figs. 5b/5c); our Fig. 5b/5c harnesses locate
-    // the crossovers near 16 and 8 on the simulated machine, so the
-    // comparative runs use those.
-    match sorter {
-        Sorter::Sds => {
-            let mut cfg = SdsConfig::modeled(model);
-            cfg.tau_m_bytes = 0;
-            cfg.tau_o = 16;
-            cfg.tau_s = 8;
-            sds_sort(comm, data, &cfg)
-        }
-        Sorter::SdsStable => {
-            let mut cfg = SdsConfig::modeled(model);
-            cfg.stable = true;
-            cfg.tau_m_bytes = 0;
-            cfg.tau_s = 8;
-            sds_sort(comm, data, &cfg)
-        }
-        Sorter::HykSort => {
-            let cfg = baselines::HykSortConfig {
-                charge: ComputeCharge::Modeled(model),
-                ..baselines::HykSortConfig::default()
-            };
-            baselines::hyksort(comm, data, &cfg)
-        }
-        Sorter::Ams => {
-            let cfg = algos::AmsConfig {
-                charge: ComputeCharge::Modeled(model),
-                // τm = 0 for the same per-rank-budget reason as SDS above.
-                tau_m_bytes: 0,
-                ..algos::AmsConfig::default()
-            };
-            algos::ams_sort(comm, data, &cfg)
-        }
-        Sorter::Hss => {
-            let cfg = algos::HssConfig {
-                charge: ComputeCharge::Modeled(model),
-                ..algos::HssConfig::default()
-            };
-            algos::hss_sort(comm, data, &cfg)
+            let ranks = report.results.iter().map(|&(len, _, stats)| (len, stats));
+            RunOutcome::completed(slowest_sort, report.wall_s, ranks)
         }
     }
 }

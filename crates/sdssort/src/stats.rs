@@ -6,6 +6,8 @@
 //! Average (`max(mᵢ)/avg(mᵢ)`, Tables 3 and 4). A sorter that crashes with
 //! OOM is reported as RDFA = ∞.
 
+use comm::Wire;
+
 /// Per-rank timing breakdown of one sort (virtual seconds).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SortStats {
@@ -36,6 +38,40 @@ impl SortStats {
     /// Total time across phases.
     pub fn total_s(&self) -> f64 {
         self.pivot_s + self.exchange_s + self.local_order_s + self.other_s
+    }
+}
+
+/// Field-wise encoding, so a rank process of the sockets backend can
+/// return its stats to the launcher.
+impl Wire for SortStats {
+    fn put(&self, out: &mut Vec<u8>) {
+        (
+            self.pivot_s,
+            self.exchange_s,
+            self.local_order_s,
+            self.other_s,
+        )
+            .put(out);
+        (self.recv_count, self.input_count, self.spill_records).put(out);
+        (self.node_merged, self.overlapped, self.spilled).put(out);
+    }
+
+    fn get(src: &mut &[u8]) -> Option<Self> {
+        let (pivot_s, exchange_s, local_order_s, other_s) = Wire::get(src)?;
+        let (recv_count, input_count, spill_records) = Wire::get(src)?;
+        let (node_merged, overlapped, spilled) = Wire::get(src)?;
+        Some(Self {
+            pivot_s,
+            exchange_s,
+            local_order_s,
+            other_s,
+            recv_count,
+            input_count,
+            node_merged,
+            overlapped,
+            spilled,
+            spill_records,
+        })
     }
 }
 
@@ -111,5 +147,27 @@ mod tests {
         assert_eq!(m.exchange_s, 2.0);
         assert_eq!(m.local_order_s, 3.0);
         assert_eq!(m.other_s, 0.5);
+    }
+
+    #[test]
+    fn wire_round_trip_keeps_every_field() {
+        let s = SortStats {
+            pivot_s: 0.25,
+            exchange_s: 1.5,
+            local_order_s: 2.0,
+            other_s: 0.125,
+            recv_count: 7,
+            input_count: 9,
+            node_merged: true,
+            overlapped: false,
+            spilled: true,
+            spill_records: 3,
+        };
+        let mut buf = Vec::new();
+        s.put(&mut buf);
+        let mut src = buf.as_slice();
+        assert_eq!(SortStats::get(&mut src), Some(s));
+        assert!(src.is_empty(), "decode consumes every byte");
+        assert_eq!(SortStats::get(&mut &buf[..buf.len() - 1]), None);
     }
 }

@@ -87,8 +87,8 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
 # git_rev/backend meta — asserted inside the binary after read-back).
 run env BENCH_METRICS_OUT="$tmp/quick" cargo run --release -q "${CARGO_OPTS[@]}" \
     -p bench --bin bench_quick
-test -s "$tmp/quick/BENCH_pr8.json" || {
-    echo "ci: bench_quick did not write BENCH_pr8.json" >&2
+test -s "$tmp/quick/BENCH_quick.json" || {
+    echo "ci: bench_quick did not write BENCH_quick.json" >&2
     exit 1
 }
 
@@ -112,19 +112,20 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
 # radix baselines.
 run cargo test -q "${CARGO_OPTS[@]}" --test backend_equivalence
 
-# Peer-algorithm suite (crates/algos): AMS-sort and Histogram Sort with
-# Sampling correctness, the HSS (1+eps) part-size guarantee across the
-# skew matrix, and collective OOM behavior.
-run cargo test -q "${CARGO_OPTS[@]}" -p algos
+# Competitor suite (crates/baselines): HykSort, sample sort, bitonic and
+# radix baselines, AMS-sort and Histogram Sort with Sampling correctness,
+# the HSS (1+eps) part-size guarantee across the skew matrix, collective
+# OOM behavior, and the Sorter registry.
+run cargo test -q "${CARGO_OPTS[@]}" -p baselines
 
 # 4-way skew shoot-out smoke at p=4: all five sorters must complete every
-# cell, HSS must honour its balance bound, and the emitted BENCH_pr10.json
+# cell, HSS must honour its balance bound, and the emitted BENCH_shootout.json
 # must read back with the git_rev/backend meta and all sorter columns
 # (asserted inside the binary).
 run env BENCH_METRICS_OUT="$tmp/shootout" cargo run --release -q "${CARGO_OPTS[@]}" \
-    -p bench --bin shootout_pr10 -- --ranks 4
-test -s "$tmp/shootout/BENCH_pr10.json" || {
-    echo "ci: shootout_pr10 did not write BENCH_pr10.json" >&2
+    -p bench --bin shootout -- --ranks 4
+test -s "$tmp/shootout/BENCH_shootout.json" || {
+    echo "ci: shootout did not write BENCH_shootout.json" >&2
     exit 1
 }
 

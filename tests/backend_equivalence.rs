@@ -7,7 +7,8 @@
 //! folds in `comm::raw`, so this holds *bit-for-bit per rank*, not just as
 //! a global multiset:
 //!
-//! - `u64` keys (any variant): identical per-rank output vectors.
+//! - `u64` keys (any sorter, either SDS variant): identical per-rank
+//!   output vectors.
 //! - Stable variant over tagged records: identical per-rank `(key, tag)`
 //!   sequences — stability pins the tie order to global input order,
 //!   leaving nothing arrival-dependent.
@@ -19,17 +20,35 @@
 //! and sockets backends: the bound is a property of the partition, not the
 //! simulator.
 //!
-//! Sockets worlds re-exec this test binary for their rank processes,
-//! targeting the [`sockcomm_child_entry`] test by exact name; in a normal
-//! parent test run that test is a no-op.
+//! Every run goes through one rank body, [`rank_body`], driven by one
+//! runner per backend. Sockets worlds re-exec this test binary for their
+//! rank processes, targeting the [`sockcomm_child_entry`] test by exact
+//! name; in a normal parent test run that test is a no-op.
 
+use baselines::Sorter;
 use comm::Communicator;
 use mpisim::{NetModel, World};
-use sdssort::{sds_sort, Record, SdsConfig, Tagged};
+use sdssort::{Record, SdsConfig, Tagged};
 use shmem::ThreadWorld;
 use workloads::{heavy_hitters, staircase, uniform_u64, zipf_keys};
 
-/// Workload matrix: name → per-rank generator (seeded, rank-dependent).
+/// The u64 workload matrix.
+const WORKLOADS: [&str; 5] = ["uniform", "zipf", "staircase", "adversarial", "identical"];
+
+/// The competitors, each backend-generic like SDS-Sort. Every one is
+/// deterministic end to end (the baselines' arrival-order merges combine
+/// sorted `u64` runs, whose result does not depend on the order), so they
+/// join the bit-identical matrix as first-class columns.
+const COMPETITORS: [Sorter; 6] = [
+    Sorter::Ams,
+    Sorter::Hss,
+    Sorter::HykSort,
+    Sorter::SampleSort,
+    Sorter::Bitonic,
+    Sorter::Radix,
+];
+
+/// Workload name → per-rank `u64` generator (seeded, rank-dependent).
 fn gen_keys(workload: &str, n: usize, seed: u64, rank: usize) -> Vec<u64> {
     match workload {
         "uniform" => uniform_u64(n, seed, rank),
@@ -41,183 +60,109 @@ fn gen_keys(workload: &str, n: usize, seed: u64, rank: usize) -> Vec<u64> {
     }
 }
 
-/// The peer sorters, each backend-generic like `sds_sort`: the
-/// `crates/algos` peers and the `crates/baselines` competitors.
-const ALGOS: [&str; 6] = ["ams", "hss", "hyksort", "samplesort", "bitonic", "radix"];
-
-/// Dispatch one of [`ALGOS`]. Every one is deterministic end to end (the
-/// baselines' arrival-order merges combine sorted `u64` runs, whose result
-/// does not depend on the order), so they join the bit-identical matrix
-/// below as first-class columns.
-fn run_algo<C: Communicator>(algo: &str, comm: &C, data: Vec<u64>) -> Vec<u64> {
-    match algo {
-        "ams" => {
-            algos::ams_sort(comm, data, &algos::AmsConfig::default())
-                .expect("no memory budget")
-                .data
-        }
-        "hss" => {
-            algos::hss_sort(comm, data, &algos::HssConfig::default())
-                .expect("no memory budget")
-                .data
-        }
-        "hyksort" => {
-            baselines::hyksort(comm, data, &baselines::HykSortConfig::default())
-                .expect("no memory budget")
-                .data
-        }
-        "samplesort" => {
-            baselines::sample_sort(comm, data, &baselines::SampleSortConfig::default())
-                .expect("no memory budget")
-                .data
-        }
-        "bitonic" => baselines::bitonic_sort(comm, data),
-        "radix" => {
-            baselines::radix_sort(comm, data)
-                .expect("no memory budget")
-                .data
-        }
-        other => panic!("unknown algo {other}"),
-    }
+/// Records whose tag encodes (rank, position): ties are observable.
+fn tagged_input(n: usize, seed: u64, rank: usize) -> Vec<Tagged<u32>> {
+    let keys = zipf_keys(n, 1.1, seed, rank);
+    keys.iter()
+        .enumerate()
+        .map(|(i, &k)| Record::new((k % 64) as u32, ((rank as u64) << 32) | i as u64))
+        .collect()
 }
 
-fn run_sim_algo(algo: &str, p: usize, workload: &str, n: usize, seed: u64) -> Vec<Vec<u64>> {
-    let world = World::new(p).cores_per_node(4).net(NetModel::zero());
-    let report = world.run(|comm| {
-        let data = gen_keys(workload, n, seed, comm.rank());
-        run_algo(algo, comm, data)
-    });
-    report.results
+/// The pseudo-workload that sorts [`tagged_input`] records instead of
+/// `u64` keys.
+const TAGGED: &str = "tagged";
+
+/// One run of the matrix, as plain data so it can travel to the sockets
+/// rank processes: (sorter name, workload, records per rank, seed, force
+/// node merge). Node merging is otherwise off (`τm = 0`, full-width
+/// exchange on every backend).
+type Cell = (String, String, u64, u64, bool);
+
+fn cell(sorter: Sorter, workload: &str, n: u64, seed: u64) -> Cell {
+    (sorter.name().into(), workload.into(), n, seed, false)
 }
 
-fn run_threads_algo(algo: &str, p: usize, workload: &str, n: usize, seed: u64) -> Vec<Vec<u64>> {
-    let report = ThreadWorld::new(p).cores_per_node(4).run(|comm| {
-        let data = gen_keys(workload, n, seed, comm.rank());
-        run_algo(algo, comm, data)
-    });
-    report.results
+fn merged(sorter: Sorter, workload: &str, n: u64, seed: u64) -> Cell {
+    (sorter.name().into(), workload.into(), n, seed, true)
 }
 
-fn cfg_for(stable: bool) -> SdsConfig {
-    let mut cfg = if stable {
-        SdsConfig::stable()
-    } else {
-        SdsConfig::default()
+/// One rank's output: the sorted `u64` keys, or the sorted tagged records
+/// for the [`TAGGED`] workload (the other vector stays empty).
+type RankOut = (Vec<u64>, Vec<Tagged<u32>>);
+
+fn rank_body<C: Communicator>(comm: &C, cell: &Cell) -> RankOut {
+    let (name, workload, n, seed, force_merge) = cell;
+    let sorter = Sorter::parse(name).expect("cell names a registered sorter");
+    let cfg = SdsConfig {
+        tau_m_bytes: if *force_merge { usize::MAX } else { 0 },
+        ..SdsConfig::default()
     };
-    cfg.tau_m_bytes = 0; // full-width exchange on both backends
-    cfg
-}
-
-fn run_sim_u64(p: usize, cfg: &SdsConfig, workload: &str, n: usize, seed: u64) -> Vec<Vec<u64>> {
-    let world = World::new(p).cores_per_node(4).net(NetModel::zero());
-    let report = world.run(|comm| {
-        let data = gen_keys(workload, n, seed, comm.rank());
-        sds_sort(comm, data, cfg).expect("no memory budget").data
-    });
-    report.results
-}
-
-fn run_threads_u64(
-    p: usize,
-    cfg: &SdsConfig,
-    workload: &str,
-    n: usize,
-    seed: u64,
-) -> Vec<Vec<u64>> {
-    let report = ThreadWorld::new(p).cores_per_node(4).run(|comm| {
-        let data = gen_keys(workload, n, seed, comm.rank());
-        sds_sort(comm, data, cfg).expect("no memory budget").data
-    });
-    report.results
-}
-
-// ---- sockets backend: entry plumbing -------------------------------------
-
-const ENTRY_SORT_U64: &str = "equiv-sort-u64";
-const ENTRY_SORT_TAGGED: &str = "equiv-sort-tagged";
-const ENTRY_SORT_ALGO: &str = "equiv-sort-algo";
-
-/// (workload, records per rank, seed, stable, force node merge).
-type U64Params = (String, u64, u64, bool, bool);
-
-fn sockets_u64_entry(comm: &sockcomm::SockComm, params: U64Params) -> Vec<u64> {
-    let (workload, n, seed, stable, force_merge) = params;
-    let mut cfg = cfg_for(stable);
-    if force_merge {
-        cfg.tau_m_bytes = usize::MAX;
+    let (n, rank) = (*n as usize, comm.rank());
+    if workload == TAGGED {
+        let data = tagged_input(n, *seed, rank);
+        let out = sorter.sort(comm, data, &cfg).expect("no memory budget");
+        (Vec::new(), out.data)
+    } else {
+        let data = gen_keys(workload, n, *seed, rank);
+        let out = sorter.sort(comm, data, &cfg).expect("no memory budget");
+        (out.data, Vec::new())
     }
-    let data = gen_keys(&workload, n as usize, seed, comm.rank());
-    sds_sort(comm, data, &cfg).expect("no memory budget").data
 }
 
-/// (algo, workload, records per rank, seed).
-type AlgoParams = (String, String, u64, u64);
-
-fn sockets_algo_entry(comm: &sockcomm::SockComm, params: AlgoParams) -> Vec<u64> {
-    let (algo, workload, n, seed) = params;
-    let data = gen_keys(&workload, n as usize, seed, comm.rank());
-    run_algo(&algo, comm, data)
+fn run_sim(p: usize, cell: &Cell) -> Vec<RankOut> {
+    let world = World::new(p).cores_per_node(4).net(NetModel::zero());
+    world.run(|comm| rank_body(comm, cell)).results
 }
 
-/// (records per rank, seed, stable).
-type TaggedParams = (u64, u64, bool);
-
-fn sockets_tagged_entry(
-    comm: &sockcomm::SockComm,
-    params: TaggedParams,
-) -> (Vec<Tagged<u32>>, Vec<Tagged<u32>>) {
-    let (n, seed, stable) = params;
-    let cfg = cfg_for(stable);
-    let data = tagged_input(n as usize, 64, seed, comm.rank());
-    let out = sds_sort(comm, data.clone(), &cfg).expect("no memory budget");
-    (data, out.data)
+fn run_threads(p: usize, cell: &Cell) -> Vec<RankOut> {
+    let world = ThreadWorld::new(p).cores_per_node(4);
+    world.run(|comm| rank_body(comm, cell)).results
 }
 
-/// Rank processes of the sockets worlds below re-enter this binary with
-/// `sockcomm_child_entry --exact` and divert inside one of these
-/// `child_rank` calls (which never return). In a parent test run no
-/// `SOCKCOMM_*` environment is set, every call is a no-op, and the test
-/// trivially passes.
+const ENTRY_SORT: &str = "equiv-sort";
+
+/// Rank processes of the sockets worlds re-enter this binary with
+/// `sockcomm_child_entry --exact` and divert inside this `child_rank`
+/// call (which never returns). In a parent test run no `SOCKCOMM_*`
+/// environment is set, the call is a no-op, and the test trivially passes.
 #[test]
 fn sockcomm_child_entry() {
-    sockcomm::child_rank(ENTRY_SORT_U64, sockets_u64_entry);
-    sockcomm::child_rank(ENTRY_SORT_TAGGED, sockets_tagged_entry);
-    sockcomm::child_rank(ENTRY_SORT_ALGO, sockets_algo_entry);
+    sockcomm::child_rank(ENTRY_SORT, |comm, cell: Cell| rank_body(comm, &cell));
 }
 
-fn sockets_world(p: usize) -> sockcomm::SocketWorld {
+fn run_sockets(p: usize, cell: &Cell) -> Vec<RankOut> {
     sockcomm::SocketWorld::new(p)
         .cores_per_node(4)
         .child_args(["sockcomm_child_entry", "--exact"])
-}
-
-fn run_sockets_u64(
-    p: usize,
-    workload: &str,
-    n: usize,
-    seed: u64,
-    stable: bool,
-    force_merge: bool,
-) -> Vec<Vec<u64>> {
-    sockets_world(p)
-        .run::<U64Params, Vec<u64>>(
-            ENTRY_SORT_U64,
-            &(workload.to_string(), n as u64, seed, stable, force_merge),
-        )
+        .run::<Cell, RankOut>(ENTRY_SORT, cell)
         .expect("sockets world")
         .results
 }
 
-fn run_sockets_tagged(p: usize, n: usize, seed: u64, stable: bool) -> (RankRecords, RankRecords) {
-    sockets_world(p)
-        .run::<TaggedParams, (Vec<Tagged<u32>>, Vec<Tagged<u32>>)>(
-            ENTRY_SORT_TAGGED,
-            &(n as u64, seed, stable),
-        )
-        .expect("sockets world")
-        .results
-        .into_iter()
-        .unzip()
+/// Per-rank sorted `u64` keys of a run.
+fn keys(out: Vec<RankOut>) -> Vec<Vec<u64>> {
+    out.into_iter().map(|(k, _)| k).collect()
+}
+
+/// Per-rank sorted records of a [`TAGGED`] run.
+fn records(out: Vec<RankOut>) -> Vec<Vec<Tagged<u32>>> {
+    out.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Sorted tags of every record: equal for a permutation of the input.
+fn sorted_tags<'a>(ranks: impl IntoIterator<Item = &'a Vec<Tagged<u32>>>) -> Vec<u64> {
+    let mut tags: Vec<u64> = ranks.into_iter().flatten().map(|t| t.payload).collect();
+    tags.sort_unstable();
+    tags
+}
+
+fn sds(stable: bool) -> Sorter {
+    if stable {
+        Sorter::SdsStable
+    } else {
+        Sorter::Sds
+    }
 }
 
 #[test]
@@ -226,15 +171,14 @@ fn ams_and_hss_output_is_bit_identical_across_backends() {
     // sampling, rank-order exchanges, and tie-to-lower-run merging leave
     // nothing arrival-dependent, so per-rank outputs match bit for bit
     // between the simulator and real OS threads.
-    for algo in ALGOS {
+    for sorter in COMPETITORS {
         for p in [2usize, 4, 8] {
-            for workload in ["uniform", "zipf", "staircase", "adversarial", "identical"] {
-                let seed = 0xA15 + p as u64;
-                let sim = run_sim_algo(algo, p, workload, 1200, seed);
-                let thr = run_threads_algo(algo, p, workload, 1200, seed);
+            for workload in WORKLOADS {
+                let c = cell(sorter, workload, 1200, 0xA15 + p as u64);
                 assert_eq!(
-                    sim, thr,
-                    "per-rank divergence: algo={algo} p={p} workload={workload}"
+                    run_sim(p, &c),
+                    run_threads(p, &c),
+                    "per-rank divergence: {c:?} p={p}"
                 );
             }
         }
@@ -243,27 +187,13 @@ fn ams_and_hss_output_is_bit_identical_across_backends() {
 
 #[test]
 fn sockets_ams_and_hss_output_is_bit_identical_to_sim_and_threads() {
-    for algo in ALGOS {
+    for sorter in COMPETITORS {
         for p in [2usize, 4] {
-            for workload in ["uniform", "zipf", "staircase", "adversarial", "identical"] {
-                let seed = 0xA15 + p as u64;
-                let sim = run_sim_algo(algo, p, workload, 800, seed);
-                let thr = run_threads_algo(algo, p, workload, 800, seed);
-                let sock = sockets_world(p)
-                    .run::<AlgoParams, Vec<u64>>(
-                        ENTRY_SORT_ALGO,
-                        &(algo.to_string(), workload.to_string(), 800, seed),
-                    )
-                    .expect("sockets world")
-                    .results;
-                assert_eq!(
-                    sim, sock,
-                    "sim vs sockets divergence: algo={algo} p={p} workload={workload}"
-                );
-                assert_eq!(
-                    thr, sock,
-                    "threads vs sockets divergence: algo={algo} p={p} workload={workload}"
-                );
+            for workload in WORKLOADS {
+                let c = cell(sorter, workload, 800, 0xA15 + p as u64);
+                let sock = run_sockets(p, &c);
+                assert_eq!(run_sim(p, &c), sock, "sim vs sockets: {c:?} p={p}");
+                assert_eq!(run_threads(p, &c), sock, "threads vs sockets: {c:?} p={p}");
             }
         }
     }
@@ -272,15 +202,13 @@ fn sockets_ams_and_hss_output_is_bit_identical_to_sim_and_threads() {
 #[test]
 fn u64_output_is_bit_identical_across_backends() {
     for p in [2usize, 4, 8] {
-        for workload in ["uniform", "zipf", "staircase", "adversarial", "identical"] {
+        for workload in WORKLOADS {
             for stable in [false, true] {
-                let cfg = cfg_for(stable);
-                let seed = 0xE9 + p as u64;
-                let sim = run_sim_u64(p, &cfg, workload, 1500, seed);
-                let thr = run_threads_u64(p, &cfg, workload, 1500, seed);
+                let c = cell(sds(stable), workload, 1500, 0xE9 + p as u64);
                 assert_eq!(
-                    sim, thr,
-                    "per-rank divergence: p={p} workload={workload} stable={stable}"
+                    run_sim(p, &c),
+                    run_threads(p, &c),
+                    "per-rank divergence: {c:?} p={p}"
                 );
             }
         }
@@ -292,73 +220,35 @@ fn u64_output_matches_with_node_merge_enabled() {
     // τm on, multi-rank nodes: the node-merge path (split + leader
     // gather) must agree across backends too.
     for stable in [false, true] {
-        let mut cfg = cfg_for(stable);
-        cfg.tau_m_bytes = usize::MAX; // force node merging
-        let p = 8;
-        let sim = run_sim_u64(p, &cfg, "zipf", 1200, 0x5EED);
-        let thr = run_threads_u64(p, &cfg, "zipf", 1200, 0x5EED);
-        assert_eq!(sim, thr, "node-merge divergence (stable={stable})");
+        let c = merged(sds(stable), "zipf", 1200, 0x5EED);
+        assert_eq!(
+            run_sim(8, &c),
+            run_threads(8, &c),
+            "node-merge divergence: {c:?}"
+        );
     }
-}
-
-/// Records whose tag encodes (rank, position): ties are observable.
-fn tagged_input(n: usize, key_space: u32, seed: u64, rank: usize) -> Vec<Tagged<u32>> {
-    let keys = zipf_keys(n, 1.1, seed, rank);
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| {
-            Record::new(
-                (k % u64::from(key_space)) as u32,
-                ((rank as u64) << 32) | i as u64,
-            )
-        })
-        .collect()
-}
-
-type RankRecords = Vec<Vec<Tagged<u32>>>;
-
-fn run_sim_tagged(p: usize, cfg: &SdsConfig, n: usize, seed: u64) -> (RankRecords, RankRecords) {
-    let world = World::new(p).cores_per_node(4).net(NetModel::zero());
-    let report = world.run(|comm| {
-        let data = tagged_input(n, 64, seed, comm.rank());
-        let out = sds_sort(comm, data.clone(), cfg).expect("no memory budget");
-        (data, out.data)
-    });
-    report.results.into_iter().unzip()
-}
-
-fn run_threads_tagged(
-    p: usize,
-    cfg: &SdsConfig,
-    n: usize,
-    seed: u64,
-) -> (RankRecords, RankRecords) {
-    let report = ThreadWorld::new(p).cores_per_node(4).run(|comm| {
-        let data = tagged_input(n, 64, seed, comm.rank());
-        let out = sds_sort(comm, data.clone(), cfg).expect("no memory budget");
-        (data, out.data)
-    });
-    report.results.into_iter().unzip()
 }
 
 #[test]
 fn stable_variant_ties_are_bit_identical_across_backends() {
     for p in [2usize, 4, 8] {
-        let cfg = cfg_for(true);
-        let (_, sim) = run_sim_tagged(p, &cfg, 1000, 0xAB + p as u64);
-        let (_, thr) = run_threads_tagged(p, &cfg, 1000, 0xAB + p as u64);
         // Stability pins equal-key order to global input order, so even
         // the payloads match record-for-record.
-        assert_eq!(sim, thr, "stable tagged divergence at p={p}");
+        let c = cell(Sorter::SdsStable, TAGGED, 1000, 0xAB + p as u64);
+        assert_eq!(
+            run_sim(p, &c),
+            run_threads(p, &c),
+            "stable tagged divergence at p={p}"
+        );
     }
 }
 
 #[test]
 fn fast_variant_keys_match_and_tags_are_a_permutation() {
     let p = 8;
-    let cfg = cfg_for(false);
-    let (input, sim) = run_sim_tagged(p, &cfg, 1000, 0xFA57);
-    let (_, thr) = run_threads_tagged(p, &cfg, 1000, 0xFA57);
+    let c = cell(Sorter::Sds, TAGGED, 1000, 0xFA57);
+    let sim = records(run_sim(p, &c));
+    let thr = records(run_threads(p, &c));
     for r in 0..p {
         let sim_keys: Vec<u32> = sim[r].iter().map(|t| t.key).collect();
         let thr_keys: Vec<u32> = thr[r].iter().map(|t| t.key).collect();
@@ -366,33 +256,26 @@ fn fast_variant_keys_match_and_tags_are_a_permutation() {
     }
     // The fast variant may reorder equal keys differently under real
     // concurrency, but each output is still a permutation of the input.
-    let mut want: Vec<u64> = input.iter().flatten().map(|t| t.payload).collect();
-    want.sort_unstable();
+    let input: Vec<_> = (0..p).map(|r| tagged_input(1000, 0xFA57, r)).collect();
+    let want = sorted_tags(&input);
     for out in [&sim, &thr] {
-        let mut got: Vec<u64> = out.iter().flatten().map(|t| t.payload).collect();
-        got.sort_unstable();
-        assert_eq!(got, want, "output is not a permutation of the input");
+        assert_eq!(
+            sorted_tags(out),
+            want,
+            "output is not a permutation of the input"
+        );
     }
 }
 
 #[test]
 fn sockets_u64_output_is_bit_identical_to_sim_and_threads() {
     for p in [2usize, 4] {
-        for workload in ["uniform", "zipf", "staircase", "adversarial", "identical"] {
+        for workload in WORKLOADS {
             for stable in [false, true] {
-                let cfg = cfg_for(stable);
-                let seed = 0xE9 + p as u64;
-                let sim = run_sim_u64(p, &cfg, workload, 800, seed);
-                let thr = run_threads_u64(p, &cfg, workload, 800, seed);
-                let sock = run_sockets_u64(p, workload, 800, seed, stable, false);
-                assert_eq!(
-                    sim, sock,
-                    "sim vs sockets divergence: p={p} workload={workload} stable={stable}"
-                );
-                assert_eq!(
-                    thr, sock,
-                    "threads vs sockets divergence: p={p} workload={workload} stable={stable}"
-                );
+                let c = cell(sds(stable), workload, 800, 0xE9 + p as u64);
+                let sock = run_sockets(p, &c);
+                assert_eq!(run_sim(p, &c), sock, "sim vs sockets: {c:?} p={p}");
+                assert_eq!(run_threads(p, &c), sock, "threads vs sockets: {c:?} p={p}");
             }
         }
     }
@@ -403,14 +286,11 @@ fn sockets_u64_output_matches_with_node_merge_enabled() {
     // τm forced on, multi-rank nodes: the node-merge path (communicator
     // split + leader gather) over real processes must agree too.
     for stable in [false, true] {
-        let mut cfg = cfg_for(stable);
-        cfg.tau_m_bytes = usize::MAX;
-        let p = 4;
-        let sim = run_sim_u64(p, &cfg, "zipf", 800, 0x5EED);
-        let sock = run_sockets_u64(p, "zipf", 800, 0x5EED, stable, true);
+        let c = merged(sds(stable), "zipf", 800, 0x5EED);
         assert_eq!(
-            sim, sock,
-            "node-merge divergence on sockets (stable={stable})"
+            run_sim(4, &c),
+            run_sockets(4, &c),
+            "node-merge divergence on sockets: {c:?}"
         );
     }
 }
@@ -418,73 +298,60 @@ fn sockets_u64_output_matches_with_node_merge_enabled() {
 #[test]
 fn sockets_stable_ties_are_bit_identical_to_sim() {
     let p = 4;
-    let cfg = cfg_for(true);
     let seed = 0xAB + p as u64;
-    let (_, sim) = run_sim_tagged(p, &cfg, 800, seed);
-    let (input, sock) = run_sockets_tagged(p, 800, seed, true);
+    let c = cell(Sorter::SdsStable, TAGGED, 800, seed);
+    let sock = run_sockets(p, &c);
     // Stability pins equal-key order to global input order: even across
     // address spaces, payloads match record-for-record.
-    assert_eq!(sim, sock, "stable tagged divergence on sockets at p={p}");
-    let mut want: Vec<u64> = input.iter().flatten().map(|t| t.payload).collect();
-    want.sort_unstable();
-    let mut got: Vec<u64> = sock.iter().flatten().map(|t| t.payload).collect();
-    got.sort_unstable();
     assert_eq!(
-        got, want,
+        run_sim(p, &c),
+        sock,
+        "stable tagged divergence on sockets at p={p}"
+    );
+    let input: Vec<_> = (0..p).map(|r| tagged_input(800, seed, r)).collect();
+    assert_eq!(
+        sorted_tags(&records(sock)),
+        sorted_tags(&input),
         "sockets output is not a permutation of the input"
+    );
+}
+
+/// Theorem 1's bound with explicit lower-order slack (see
+/// `tests/workload_bound.rs`): `U ≤ 4N/p + 2N/p² + p`. Every generator
+/// emits exactly `n` records per rank, so `N = p·n`.
+fn assert_skew_bound(backend: &str, p: usize, workload: &str, out: Vec<RankOut>) {
+    let n_total = p * 2000;
+    let bound = 4 * n_total / p + 2 * n_total / (p * p) + p;
+    let max = keys(out).iter().map(Vec::len).max().expect("p >= 1");
+    assert!(
+        max <= bound,
+        "{backend} backend: {workload} p={p}: max {max} > bound {bound}"
     );
 }
 
 #[test]
 fn skew_bound_holds_on_sockets_backend() {
-    // Theorem 1 over real processes: every generator emits exactly n
-    // records per rank, so N = p·n.
     for (p, workload) in [
         (4usize, "uniform"),
         (4, "zipf"),
         (4, "adversarial"),
         (4, "identical"),
     ] {
-        let out = run_sockets_u64(p, workload, 2000, 3, false, false);
-        let n_total = p * 2000;
-        let max = out.iter().map(|r| r.len()).max().expect("p >= 1");
-        assert!(
-            max <= bound(n_total, p),
-            "sockets backend: {workload} p={p}: max {max} > bound {}",
-            bound(n_total, p)
-        );
+        let out = run_sockets(p, &cell(Sorter::Sds, workload, 2000, 3));
+        assert_skew_bound("sockets", p, workload, out);
     }
-}
-
-/// Theorem 1's bound with explicit lower-order slack (see
-/// `tests/workload_bound.rs`): `U ≤ 4N/p + 2N/p² + p`.
-fn bound(n_total: usize, p: usize) -> usize {
-    4 * n_total / p + 2 * n_total / (p * p) + p
 }
 
 #[test]
 fn skew_bound_holds_on_threads_backend() {
-    let mut cfg = SdsConfig::default();
-    cfg.tau_m_bytes = 0;
     for (p, workload) in [
         (4usize, "uniform"),
         (8, "zipf"),
         (8, "adversarial"),
         (8, "identical"),
     ] {
-        let report = ThreadWorld::new(p).cores_per_node(4).run(|comm| {
-            let data = gen_keys(workload, 2000, 3, comm.rank());
-            let n = data.len();
-            let out = sds_sort(comm, data, &cfg).expect("no memory budget");
-            (n, out.data.len())
-        });
-        let n_total: usize = report.results.iter().map(|r| r.0).sum();
-        let max = report.results.iter().map(|r| r.1).max().expect("p >= 1");
-        assert!(
-            max <= bound(n_total, p),
-            "threads backend: {workload} p={p}: max {max} > bound {}",
-            bound(n_total, p)
-        );
+        let out = run_threads(p, &cell(Sorter::Sds, workload, 2000, 3));
+        assert_skew_bound("threads", p, workload, out);
     }
 }
 
@@ -506,10 +373,8 @@ mod property {
         ) {
             let p = [2usize, 4, 8][p_idx];
             let workload = ["uniform", "zipf", "adversarial", "identical"][workload_idx];
-            let cfg = cfg_for(stable);
-            let sim = run_sim_u64(p, &cfg, workload, 600, seed);
-            let thr = run_threads_u64(p, &cfg, workload, 600, seed);
-            prop_assert_eq!(sim, thr);
+            let c = cell(sds(stable), workload, 600, seed);
+            prop_assert_eq!(run_sim(p, &c), run_threads(p, &c));
         }
     }
 }

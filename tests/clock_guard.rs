@@ -46,15 +46,15 @@ fn sort(name: &str, comm: &Comm, input: Vec<u64>) -> Vec<u64> {
         "sds-stable" => sdssort::sds_sort(comm, input, &sds_cfg(true, false)),
         "sds-node-merge" => sdssort::sds_sort(comm, input, &sds_cfg(false, true)),
         "ams" => {
-            let mut cfg = algos::AmsConfig::default();
+            let mut cfg = baselines::AmsConfig::default();
             cfg.kmax = 4;
             cfg.charge = charge();
-            algos::ams_sort(comm, input, &cfg)
+            baselines::ams_sort(comm, input, &cfg)
         }
         "hss" => {
-            let mut cfg = algos::HssConfig::default();
+            let mut cfg = baselines::HssConfig::default();
             cfg.charge = charge();
-            algos::hss_sort(comm, input, &cfg)
+            baselines::hss_sort(comm, input, &cfg)
         }
         "hyksort" => {
             // k = 2: each stage receives from itself and one peer, so the

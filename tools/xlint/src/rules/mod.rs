@@ -3,14 +3,14 @@
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
-//! | `wallclock` | virtual-time lib code (`VIRTUAL_TIME_SRC`) | no `Instant`/`SystemTime`/`thread::sleep` — alias-proof via `use`-tree resolution. The real-execution backends (`shmem`, `sockcomm`) and the resident service are out of scope: wall clocks are their whole point |
+//! | `wallclock` | virtual-time lib code (`VIRTUAL_TIME_SRC`: `mpisim`, `sdssort`, `baselines`) | no `Instant`/`SystemTime`/`thread::sleep` — alias-proof via `use`-tree resolution. The real-execution backends (`shmem`, `sockcomm`) and the resident service are out of scope: wall clocks are their whole point |
 //! | `relaxed-ordering` | all lib code | no `Ordering::Relaxed` outside allowlisted fast paths: cross-rank state uses `SeqCst` |
 //! | `safety-comment` | everywhere | every `unsafe` is preceded by a `// SAFETY:` comment (or a `# Safety` doc section) |
-//! | `no-unwrap` | library crates (incl. `algos`) | no bare `.unwrap()`; `.expect()` must carry a string-literal invariant message |
+//! | `no-unwrap` | library crates | no bare `.unwrap()`; `.expect()` must carry a string-literal invariant message |
 //! | `tag-discipline` | everything outside `mpisim` | message tags are named constants, not integer literals |
 //! | `workload-determinism` | `workloads` crate | generators are seeded: no `thread_rng`/`from_entropy`/entropy sources |
 //! | `rank-divergent-collective` | algorithm/driver code | no `Communicator` collective call lexically inside a branch/loop/match that depends on the caller's rank — the static shadow of mpisim's runtime deadlock detector |
-//! | `unchecked-partition-arith` | `sdssort::{partition,merge,radix}`, `baselines`, `algos` | no unchecked `*`/`-` (or compound `+`) on index/count expressions feeding slice bounds: widen to `u128` or use `checked_*`/`saturating_*` (the PR 7 merge-cut / radix-carve overflow class) |
+//! | `unchecked-partition-arith` | `sdssort::{partition,merge,radix}`, `baselines` | no unchecked `*`/`-` (or compound `+`) on index/count expressions feeding slice bounds: widen to `u128` or use `checked_*`/`saturating_*` (the PR 7 merge-cut / radix-carve overflow class) |
 //! | `user-tag-range` | outside the comm substrate crates | no literal or const tag at/above `MAX_USER_TAG`, and no `*_raw` reserved-tag call outside the backends that implement the `Communicator` substrate |
 //! | `blocking-in-dispatcher` | `crates/service` | no `thread::sleep`/`park` or blocking channel `recv` in the service: the dispatcher's only sanctioned block point is the submission mailbox |
 
@@ -52,17 +52,16 @@ pub const RULES: [&str; 10] = [
 const VIRTUAL_TIME_SRC: [&str; 3] = [
     "crates/mpisim/src/",
     "crates/sdssort/src/",
-    "crates/algos/src/",
+    "crates/baselines/src/",
 ];
 
 /// Library crates covered by the `no-unwrap` rule.
-const LIB_CRATE_SRC: [&str; 10] = [
+const LIB_CRATE_SRC: [&str; 9] = [
     "crates/mpisim/src/",
     "crates/sdssort/src/",
     "crates/telemetry/src/",
     "crates/workloads/src/",
     "crates/baselines/src/",
-    "crates/algos/src/",
     "crates/comm/src/",
     "crates/shmem/src/",
     "crates/service/src/",
@@ -72,12 +71,11 @@ const LIB_CRATE_SRC: [&str; 10] = [
 /// Files covered by `unchecked-partition-arith`: the partition/carve
 /// arithmetic the rule descends from lives here (PR 2's u128 widening,
 /// PR 7's merge-cut underfill and radix-carve overshoot fixes).
-const PARTITION_ARITH_SRC: [&str; 5] = [
+const PARTITION_ARITH_SRC: [&str; 4] = [
     "crates/sdssort/src/partition.rs",
     "crates/sdssort/src/merge.rs",
     "crates/sdssort/src/radix.rs",
     "crates/baselines/src/",
-    "crates/algos/src/",
 ];
 
 /// Tags at or above this value are reserved for collectives
