@@ -18,6 +18,14 @@ use comm::Wire;
 /// key, so equal-key records are genuinely indistinguishable to the sorter
 /// — exactly the regime where skew-aware partitioning matters.
 ///
+/// Two associated constants describe the record to the local-sort kernel
+/// choice ([`crate::local_sort::local_sort_with`]): [`Sortable::RADIX`]
+/// says the key embeds monotonically into `u64` (radix-sortable), and
+/// [`Sortable::KEY_ONLY`] says the record is nothing but its key, so a
+/// requested stable order cannot be observed and the unstable kernels
+/// apply. Both default to `false`; they change only which kernel runs,
+/// never the sorted output.
+///
 /// Records and keys must additionally be [`Wire`]: every record crosses
 /// the transport during the exchange phase, and the distributed sockets
 /// backend needs to serialize it. For in-process backends the bound costs
@@ -42,6 +50,15 @@ pub trait Sortable: Copy + Send + Sync + 'static + Wire {
     fn radix_u64(&self) -> u64 {
         0
     }
+
+    /// True when equal keys imply bit-identical records
+    /// (`a.key() == b.key()  ⇒  a == b` bit for bit): the record *is* its
+    /// key. Stability is then unobservable — every permutation of an
+    /// equal-key run is the same sequence — so the local sort may use the
+    /// faster unstable kernels even when the caller asked for a stable
+    /// sort, with bit-identical output. Records that carry anything
+    /// beside the key (a payload, a tag) keep the default `false`.
+    const KEY_ONLY: bool = false;
 }
 
 /// A key with an order-preserving mapping to `u64`:
@@ -110,6 +127,7 @@ macro_rules! impl_sortable_prim {
                 *self
             }
             const RADIX: bool = <$t as RadixKey>::USABLE;
+            const KEY_ONLY: bool = true;
             #[inline]
             fn radix_u64(&self) -> u64 {
                 RadixKey::radix_u64(self)
@@ -217,6 +235,10 @@ impl Sortable for OrderedF32 {
         *self
     }
     const RADIX: bool = true;
+    // The derived `Eq` compares the ordered bits, which map one-to-one
+    // onto the float's bits: ±0.0 and distinct NaN payloads are distinct
+    // keys.
+    const KEY_ONLY: bool = true;
     #[inline]
     fn radix_u64(&self) -> u64 {
         RadixKey::radix_u64(self)
@@ -276,6 +298,10 @@ impl Sortable for OrderedF64 {
         *self
     }
     const RADIX: bool = true;
+    // The derived `Eq` compares the ordered bits, which map one-to-one
+    // onto the float's bits: ±0.0 and distinct NaN payloads are distinct
+    // keys.
+    const KEY_ONLY: bool = true;
     #[inline]
     fn radix_u64(&self) -> u64 {
         RadixKey::radix_u64(self)
@@ -506,6 +532,93 @@ mod tests {
     fn record_radix_u64_uses_the_key() {
         let r = Record::new(-3i64, 99u64);
         assert_eq!(Sortable::radix_u64(&r), RadixKey::radix_u64(&-3i64));
+    }
+
+    /// The `KEY_ONLY` contract: equal keys imply identical bits. Checked
+    /// pairwise over edge values, comparing the encoded bytes.
+    fn assert_key_only<T: Sortable + PartialEq + std::fmt::Debug>(vals: &[T]) {
+        assert!(T::KEY_ONLY);
+        let bits = |r: &T| {
+            let mut out = Vec::new();
+            r.put(&mut out);
+            out
+        };
+        for a in vals {
+            for b in vals {
+                if a.key() == b.key() {
+                    assert_eq!(a, b);
+                    assert_eq!(bits(a), bits(b), "{a:?} vs {b:?}");
+                } else {
+                    assert_ne!(bits(a), bits(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_only_types_equal_keys_mean_identical_bits() {
+        assert_key_only(&[0u8, 1, u8::MAX]);
+        assert_key_only(&[0u16, 7, u16::MAX]);
+        assert_key_only(&[0u32, 7, u32::MAX]);
+        assert_key_only(&[0u64, 7, u64::MAX]);
+        assert_key_only(&[0u128, 7, u128::MAX]);
+        assert_key_only(&[0usize, 7, usize::MAX]);
+        assert_key_only(&[i8::MIN, -1, 0, i8::MAX]);
+        assert_key_only(&[i16::MIN, -1, 0, i16::MAX]);
+        assert_key_only(&[i32::MIN, -1, 0, i32::MAX]);
+        assert_key_only(&[i64::MIN, -1, 0, i64::MAX]);
+        assert_key_only(&[i128::MIN, -1, 0, i128::MAX]);
+        assert_key_only(&[isize::MIN, -1, 0, isize::MAX]);
+
+        // Floats: ±0.0 and NaNs with different payloads or signs are
+        // distinct keys, and wrapping keeps every bit of the float.
+        let f32s = [
+            0.0f32,
+            -0.0,
+            1.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0x7F80_0001),
+        ];
+        let w32: Vec<OrderedF32> = f32s.iter().map(|&v| OrderedF32::new(v)).collect();
+        assert_key_only(&w32);
+        for (&v, w) in f32s.iter().zip(&w32) {
+            assert_eq!(w.value().to_bits(), v.to_bits());
+        }
+        assert_ne!(OrderedF32::new(0.0).key(), OrderedF32::new(-0.0).key());
+        let f64s = [
+            0.0f64,
+            -0.0,
+            -2.5,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0x7FF0_0000_0000_0001),
+        ];
+        let w64: Vec<OrderedF64> = f64s.iter().map(|&v| OrderedF64::new(v)).collect();
+        assert_key_only(&w64);
+        for (&v, w) in f64s.iter().zip(&w64) {
+            assert_eq!(w.value().to_bits(), v.to_bits());
+        }
+        assert_ne!(OrderedF64::new(0.0).key(), OrderedF64::new(-0.0).key());
+    }
+
+    #[test]
+    fn records_with_payload_are_not_key_only() {
+        fn key_only<T: Sortable>() -> bool {
+            T::KEY_ONLY
+        }
+        // Equal keys, different payloads: stability is observable.
+        let (a, b) = (Record::new(5u32, 1u64), Record::new(5u32, 2u64));
+        assert_eq!(a.key(), b.key());
+        assert_ne!(a, b);
+        assert!(!key_only::<Record<u32, u64>>());
+        assert!(!key_only::<Record<OrderedF64, u64>>());
+        assert!(!key_only::<Tagged<u64>>());
     }
 
     #[test]

@@ -120,4 +120,8 @@ fn telemetry_run_actually_recorded() {
     assert!(snap.spans.iter().any(|s| s.name == "exchange"));
     assert!(snap.spans.iter().any(|s| s.name == "local-order"));
     assert!(snap.phases.iter().any(|p| p.name == "exchange"));
+    assert!(snap
+        .events
+        .iter()
+        .any(|e| e.name == "decision.local_kernel" && e.rank == 0));
 }

@@ -112,6 +112,12 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
 # radix baselines.
 run cargo test -q "${CARGO_OPTS[@]}" --test backend_equivalence
 
+# perfbench's own unit tests (its own package, outside the workspace):
+# among them the check that the traced pipeline replica, which calls
+# `local_sort_with` and the other layers directly, still reproduces
+# `sds_sort`'s output.
+run cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Competitor suite (crates/baselines): HykSort, sample sort, bitonic and
 # radix baselines, AMS-sort and Histogram Sort with Sampling correctness,
 # the HSS (1+eps) part-size guarantee across the skew matrix, collective

@@ -131,7 +131,8 @@ proptest! {
 // Local-sort matrix: threads × {stable, unstable} × workload shape ×
 // kernel, with sizes straddling the radix/comparison boundary
 // (RADIX_MIN_N = 2048). Stable runs must equal std's stable sort exactly;
-// unstable runs must be a key-sorted permutation.
+// unstable runs must be a key-sorted permutation. The bare keys (a
+// key-only record type) must equal std's stable sort either way.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -164,6 +165,12 @@ proptest! {
             .enumerate()
             .map(|(i, &k)| Record::new(k, i as u64))
             .collect();
+        let mut bare = keys.clone();
+        local_sort_with(&mut bare, threads, stable, kernel);
+        let mut expect_bare = keys.clone();
+        expect_bare.sort_by_key(|&k| k);
+        prop_assert_eq!(bare, expect_bare);
+
         let mut got = recs.clone();
         local_sort_with(&mut got, threads, stable, kernel);
         if stable {
