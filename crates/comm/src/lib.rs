@@ -25,7 +25,7 @@
 //! clock, memory hooks, reserved-tag `*_raw` send/recv and the context id
 //! of a split's child. The same seed therefore yields bit-identical output
 //! on all three substrates. The real backends also share the [`mailbox`]
-//! matching discipline, and [`Wire`] is the zero-copy record codec.
+//! matching discipline, and [`Wire`] is the record codec.
 //!
 //! The trait mirrors the MPI-flavoured surface the sort needs: rank /
 //! topology queries, buffered point-to-point sends, the collectives, the
@@ -332,6 +332,17 @@ pub trait Communicator: Sized {
 
     /// Blocking receive from communicator rank `src` on any tag.
     fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T>;
+
+    /// Blocking receive from communicator rank `src` on any tag, appending
+    /// the payload to `out`; returns the number of elements appended. A
+    /// backend that holds the payload encoded (sockets) decodes it straight
+    /// into `out` instead of through an intermediate vector.
+    fn recv_extend_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>) -> usize {
+        let chunk = self.recv_vec_raw::<T>(src, tag);
+        let n = chunk.len();
+        out.extend(chunk);
+        n
+    }
 
     /// Blocking receive of a single value from communicator rank `src`.
     fn recv_val_raw<T: Wire>(&self, src: usize, tag: u64) -> T {

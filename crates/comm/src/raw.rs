@@ -150,9 +150,8 @@ pub fn alltoallv_given_counts<C: Communicator, T: Wire>(
         if src == me {
             out.extend_from_slice(&data[offsets[me]..offsets[me + 1]]);
         } else if rc > 0 {
-            let chunk = comm.recv_vec_raw::<T>(src, tag);
-            assert_eq!(chunk.len(), rc, "alltoallv count mismatch from {src}");
-            out.extend(chunk);
+            let got = comm.recv_extend_raw(src, tag, &mut out);
+            assert_eq!(got, rc, "alltoallv count mismatch from {src}");
         }
     }
     out

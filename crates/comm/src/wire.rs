@@ -17,15 +17,19 @@
 //! guarantee is self-consistency: `get` inverts `put` and `get_vec` inverts
 //! `put_slice`, byte for byte.
 //!
-//! ## Zero-copy record buffers
+//! ## Bulk record buffers
 //!
 //! The hot path of a sort exchange is a large `Vec<K>` of keys or records.
 //! For the primitive pod types (no padding, every bit pattern valid — the
-//! same contract as `sdssort`'s `PlainData`), [`Wire::put_slice`] and
-//! [`Wire::get_vec`] are overridden with a single `memcpy` instead of an
-//! element loop, so encoding a million-key buffer costs one copy.
-//! Composite types (tuples, `Record`-style structs with padding) fall back
-//! to the element-wise loop, which sidesteps padding bytes entirely.
+//! same contract as `sdssort`'s `PlainData`), [`Wire::as_bytes`] views a
+//! slice as its encoding without copying, and [`Wire::extend_from_bytes`]
+//! decodes a whole buffer with a single `memcpy`. A transport that can
+//! write borrowed bytes (`sockcomm`) therefore sends a pod buffer with no
+//! user-space copy and receives it with one, straight into the caller's
+//! vector. Composite types (tuples, `Record`-style structs with padding)
+//! have no byte view: they are encoded element-wise into one buffer (one
+//! copy on send, which sidesteps padding bytes entirely) and decoded
+//! element-wise (one copy on receive).
 
 /// A value that can cross a process boundary as bytes.
 ///
@@ -41,23 +45,51 @@ pub trait Wire: Clone + Send + 'static {
     /// the consumed bytes. `None` if `src` is truncated or malformed.
     fn get(src: &mut &[u8]) -> Option<Self>;
 
-    /// Bulk-encode a slice (element-wise by default; pod types override
-    /// with a single copy).
+    /// Bulk-encode a slice: a single copy of [`Wire::as_bytes`] where the
+    /// type has a byte view, element-wise otherwise.
     fn put_slice(items: &[Self], out: &mut Vec<u8>) {
-        for item in items {
-            item.put(out);
+        match Self::as_bytes(items) {
+            Some(bytes) => out.extend_from_slice(bytes),
+            None => {
+                for item in items {
+                    item.put(out);
+                }
+            }
         }
     }
 
-    /// Decode an entire buffer into a vector, consuming every byte. `None`
-    /// if the buffer is truncated mid-element or has trailing garbage
-    /// (pod override: length not a multiple of the element size).
-    fn get_vec(src: &[u8]) -> Option<Vec<Self>> {
+    /// The encoding of `items` as a borrowed view of their memory, when
+    /// the two coincide — `Some` only for the pod scalars, whose encoding
+    /// is their native bytes. When `Some`, it must equal the element-wise
+    /// encoding.
+    fn as_bytes(_items: &[Self]) -> Option<&[u8]> {
+        None
+    }
+
+    /// Decode an entire buffer, appending the elements to `out` and
+    /// consuming every byte. `None` if the buffer is truncated mid-element
+    /// or has trailing garbage (pod override: length not a multiple of
+    /// the element size); `out` is then left exactly as it was.
+    fn extend_from_bytes(src: &[u8], out: &mut Vec<Self>) -> Option<()> {
+        let before = out.len();
         let mut cursor = src;
-        let mut out = Vec::new();
         while !cursor.is_empty() {
-            out.push(Self::get(&mut cursor)?);
+            match Self::get(&mut cursor) {
+                Some(item) => out.push(item),
+                None => {
+                    out.truncate(before);
+                    return None;
+                }
+            }
         }
+        Some(())
+    }
+
+    /// Decode an entire buffer into a new vector (see
+    /// [`Wire::extend_from_bytes`]).
+    fn get_vec(src: &[u8]) -> Option<Vec<Self>> {
+        let mut out = Vec::new();
+        Self::extend_from_bytes(src, &mut out)?;
         Some(out)
     }
 }
@@ -74,8 +106,8 @@ fn take<'a>(src: &mut &'a [u8], count: usize) -> Option<&'a [u8]> {
 }
 
 /// Implements [`Wire`] for pod scalars: no padding, every bit pattern
-/// valid, encoded as their native-endian bytes. Bulk paths are a single
-/// `memcpy` of the whole buffer.
+/// valid, encoded as their native-endian bytes. The bulk encoding is a
+/// borrowed view of the slice and the bulk decode a single `memcpy`.
 macro_rules! wire_pod {
     ($($ty:ty),+ $(,)?) => {$(
         impl Wire for $ty {
@@ -90,40 +122,40 @@ macro_rules! wire_pod {
                 Some(<$ty>::from_ne_bytes(bytes.try_into().ok()?))
             }
 
-            fn put_slice(items: &[Self], out: &mut Vec<u8>) {
+            fn as_bytes(items: &[Self]) -> Option<&[u8]> {
                 // SAFETY: `$ty` is a primitive scalar — no padding bytes,
                 // so every byte of the slice is initialized and may be
-                // viewed as `u8`.
-                let bytes = unsafe {
+                // viewed as `u8` for the slice's lifetime.
+                Some(unsafe {
                     std::slice::from_raw_parts(
                         items.as_ptr().cast::<u8>(),
                         std::mem::size_of_val(items),
                     )
-                };
-                out.extend_from_slice(bytes);
+                })
             }
 
-            fn get_vec(src: &[u8]) -> Option<Vec<Self>> {
+            fn extend_from_bytes(src: &[u8], out: &mut Vec<Self>) -> Option<()> {
                 let size = std::mem::size_of::<$ty>();
                 if src.len() % size != 0 {
                     return None;
                 }
                 let n = src.len() / size;
-                let mut out = Vec::<$ty>::with_capacity(n);
+                out.reserve(n);
+                let len = out.len();
                 // SAFETY: every bit pattern of `$ty` is a valid value, the
-                // destination has capacity for `n` elements, and the source
-                // holds exactly `n * size` bytes (checked above).
-                // `copy_nonoverlapping` via u8 pointers tolerates any
-                // source alignment.
+                // destination has spare capacity for `n` elements past
+                // `len` (reserved above), and the source holds exactly
+                // `n * size` bytes (checked above). `copy_nonoverlapping`
+                // via u8 pointers tolerates any source alignment.
                 unsafe {
                     std::ptr::copy_nonoverlapping(
                         src.as_ptr(),
-                        out.as_mut_ptr().cast::<u8>(),
+                        out.as_mut_ptr().add(len).cast::<u8>(),
                         src.len(),
                     );
-                    out.set_len(n);
+                    out.set_len(len + n);
                 }
-                Some(out)
+                Some(())
             }
         }
     )+};
@@ -316,6 +348,73 @@ mod tests {
         u64::put_slice(&[1u64, 2], &mut buf);
         buf.pop();
         assert_eq!(u64::get_vec(&buf), None);
+    }
+
+    /// The element-wise encoding, independent of any bulk override.
+    fn put_each<T: Wire>(items: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for it in items {
+            it.put(&mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn pod_byte_view_is_the_encoding() {
+        macro_rules! check {
+            ($($ty:ty),+) => {$(
+                let items: Vec<$ty> = (0u8..37).map(|i| i.wrapping_mul(151) as $ty).collect();
+                let view = <$ty>::as_bytes(&items).expect("pod types have a byte view");
+                let mut bulk = Vec::new();
+                <$ty>::put_slice(&items, &mut bulk);
+                assert_eq!(view, &bulk[..], "{}", stringify!($ty));
+                assert_eq!(view, &put_each(&items)[..], "{}", stringify!($ty));
+                assert_eq!(<$ty>::as_bytes(&[]), Some(&[][..]));
+            )+};
+        }
+        check!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64, usize, isize);
+    }
+
+    #[test]
+    fn composites_have_no_byte_view() {
+        assert_eq!(<(u32, u64)>::as_bytes(&[(1, 2)]), None);
+        assert_eq!(<(u64,)>::as_bytes(&[(1,)]), None);
+        assert_eq!(<[u64; 2]>::as_bytes(&[[1, 2]]), None);
+        assert_eq!(Option::<u64>::as_bytes(&[Some(1)]), None);
+        assert_eq!(bool::as_bytes(&[true]), None);
+        assert_eq!(<String as Wire>::as_bytes(&["x".to_string()]), None);
+    }
+
+    #[test]
+    fn extend_from_bytes_appends_what_get_vec_decodes() {
+        let items: Vec<u64> = (0..100u64).map(|i| i * 0x0101_0101).collect();
+        let bytes = put_each(&items);
+        let mut out = vec![7u64, 8];
+        assert_eq!(u64::extend_from_bytes(&bytes, &mut out), Some(()));
+        assert_eq!(out[..2], [7, 8]);
+        assert_eq!(Some(out[2..].to_vec()), u64::get_vec(&bytes));
+
+        let pairs: Vec<(u32, u64)> = (0..50u32).map(|i| (i, u64::from(i) << 40)).collect();
+        let bytes = put_each(&pairs);
+        let mut out = vec![(9u32, 9u64)];
+        assert_eq!(<(u32, u64)>::extend_from_bytes(&bytes, &mut out), Some(()));
+        assert_eq!(out[0], (9, 9));
+        assert_eq!(Some(out[1..].to_vec()), <(u32, u64)>::get_vec(&bytes));
+    }
+
+    #[test]
+    fn ragged_extend_leaves_out_untouched() {
+        let mut bytes = put_each(&[1u64, 2, 3]);
+        bytes.pop();
+        let mut out = vec![5u64, 6];
+        assert_eq!(u64::extend_from_bytes(&bytes, &mut out), None);
+        assert_eq!(out, [5, 6]);
+
+        let mut bytes = put_each(&[(1u32, 2u64), (3, 4)]);
+        bytes.pop();
+        let mut out = vec![(5u32, 6u64)];
+        assert_eq!(<(u32, u64)>::extend_from_bytes(&bytes, &mut out), None);
+        assert_eq!(out, [(5, 6)]);
     }
 
     #[test]

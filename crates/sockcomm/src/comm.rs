@@ -9,12 +9,21 @@
 //! backends. `SockComm` supplies only the substrate: frame
 //! encoding/decoding at the send/recv boundary, mailbox matching, and
 //! hash-derived split context ids.
+//!
+//! Copies per remote message, in user space: a pod payload (`Vec<u64>`)
+//! is written to the socket from the sender's own slice (0 copies), a
+//! composite one is encoded once into a payload buffer (1 copy). The
+//! reader thread reads the payload straight into the frame's buffer, and
+//! the receiving rank decodes it once into its output — for
+//! `alltoallv_given_counts`, straight onto the end of the result vector
+//! (1 copy).
 
-use crate::frame::{Frame, FrameKind};
+use crate::frame::{FrameHeader, FrameKind};
 use crate::universe::SockUniverse;
 use ::comm::mailbox::{Envelope, SrcSel};
 use ::comm::raw;
 use ::comm::{Communicator, Group, Wire};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Panic payload used when a rank unwinds because the world aborted
@@ -70,7 +79,10 @@ impl SockComm {
         std::panic::resume_unwind(Box::new(SockAborted { rank: self.rank() }))
     }
 
-    fn open_envelope<T: Wire>(&self, env: Envelope) -> (usize, Vec<T>) {
+    /// Unwrap a received envelope's encoded payload and decode it onto
+    /// the end of `out`; returns the sender's communicator rank and the
+    /// number of elements appended.
+    fn open_envelope_into<T: Wire>(&self, env: Envelope, out: &mut Vec<T>) -> (usize, usize) {
         let src_comm = self
             .group
             .comm_rank_of_world(env.src)
@@ -79,7 +91,8 @@ impl SockComm {
             .data
             .downcast::<Vec<u8>>()
             .unwrap_or_else(|_| panic!("non-byte payload in sockets mailbox (tag {})", env.tag));
-        let data = T::get_vec(&bytes).unwrap_or_else(|| {
+        let before = out.len();
+        if T::extend_from_bytes(&bytes, out).is_none() {
             panic!(
                 "undecodable payload from world rank {} (ctx {}, tag {}, {} bytes): \
                  sender and receiver disagree on the element type",
@@ -87,15 +100,21 @@ impl SockComm {
                 env.ctx,
                 env.tag,
                 bytes.len()
-            )
-        });
+            );
+        }
+        (src_comm, out.len() - before)
+    }
+
+    fn open_envelope<T: Wire>(&self, env: Envelope) -> (usize, Vec<T>) {
+        let mut data = Vec::new();
+        let (src_comm, _) = self.open_envelope_into(env, &mut data);
         (src_comm, data)
     }
 
-    fn recv_sel_raw<T: Wire>(&self, src: SrcSel, tag: u64) -> (usize, Vec<T>) {
+    fn take_envelope(&self, src: SrcSel, tag: u64) -> Envelope {
         self.check_alive();
         match self.uni.mailbox.take(self.ctx, src, tag, &self.uni.aborted) {
-            Some(env) => self.open_envelope(env),
+            Some(env) => env,
             None => self.abort_unwind(),
         }
     }
@@ -130,11 +149,24 @@ impl Communicator for SockComm {
     }
 
     fn send_raw<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {
+        self.send_slice_raw(dst, tag, &data);
+    }
+
+    /// The sockets send primitive. A pod slice is written to the socket
+    /// from its own memory; any other element type is encoded once into
+    /// one payload buffer.
+    fn send_slice_raw<T: Wire>(&self, dst: usize, tag: u64, data: &[T]) {
         self.check_alive();
         let src_w = self.world_rank();
         let dst_w = self.world_rank_of(dst);
-        let mut payload = Vec::new();
-        T::put_slice(&data, &mut payload);
+        let payload = match T::as_bytes(data) {
+            Some(bytes) => Cow::Borrowed(bytes),
+            None => {
+                let mut buf = Vec::new();
+                T::put_slice(data, &mut buf);
+                Cow::Owned(buf)
+            }
+        };
         let bytes = payload.len();
         self.uni.stats.record(bytes);
         self.uni.recorder.on_send(src_w, dst_w, bytes);
@@ -145,7 +177,7 @@ impl Communicator for SockComm {
                     ctx: self.ctx,
                     src: src_w,
                     tag,
-                    data: Box::new(payload),
+                    data: Box::new(payload.into_owned()),
                     bytes,
                 },
                 &self.uni.aborted,
@@ -155,14 +187,13 @@ impl Communicator for SockComm {
             }
             return;
         }
-        let frame = Frame {
+        let header = FrameHeader {
             kind: FrameKind::Data,
             ctx: self.ctx,
             src: src_w as u32,
             tag,
-            payload,
         };
-        if let Err(e) = self.uni.send_frame(dst_w, &frame) {
+        if let Err(e) = self.uni.send_frame(dst_w, &header, &payload) {
             // A write error means the peer's socket is gone: record the
             // death (EPIPE/ECONNRESET arrive here because Rust ignores
             // SIGPIPE) and unwind.
@@ -173,12 +204,20 @@ impl Communicator for SockComm {
     }
 
     fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
-        self.recv_sel_raw(SrcSel::Exact(self.world_rank_of(src)), tag)
-            .1
+        let mut out = Vec::new();
+        self.recv_extend_raw(src, tag, &mut out);
+        out
+    }
+
+    /// Decodes the mailbox's payload bytes straight onto the end of `out`.
+    fn recv_extend_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>) -> usize {
+        let env = self.take_envelope(SrcSel::Exact(self.world_rank_of(src)), tag);
+        self.open_envelope_into(env, out).1
     }
 
     fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {
-        self.recv_sel_raw(SrcSel::Any, tag)
+        let env = self.take_envelope(SrcSel::Any, tag);
+        self.open_envelope(env)
     }
 
     fn try_recv_any_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Vec<T>)> {

@@ -17,7 +17,12 @@
 //!
 //! The codec is split into pure buffer functions ([`encode_frame`] /
 //! [`decode_frame`]) that the property tests drive, and thin IO wrappers
-//! ([`write_frame`] / [`read_frame`]) used by the transport.
+//! ([`write_frame`] / [`write_frame_parts`] / [`read_frame`]) used by the
+//! transport. All of them share one prefix encoder and one prefix
+//! decoder. The data path never assembles a frame in memory:
+//! [`write_frame_parts`] writes the prefix and then the caller's borrowed
+//! payload, and [`read_frame`] reads the payload straight into the
+//! frame's buffer.
 
 use std::io::{self, Read, Write};
 
@@ -70,6 +75,34 @@ impl FrameKind {
     }
 }
 
+/// Bytes in front of every payload: the length prefix plus the header.
+pub const PREFIX_BYTES: usize = 8 + HEADER_BYTES;
+
+/// A frame's header: everything but the length prefix and the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// What the frame means.
+    pub kind: FrameKind,
+    /// Communicator context id (0 for control frames).
+    pub ctx: u64,
+    /// Sender's world rank.
+    pub src: u32,
+    /// Mailbox tag (0 for control frames).
+    pub tag: u64,
+}
+
+impl FrameHeader {
+    /// A control header: `(ctx, tag)` zero, just kind and source.
+    pub fn control(kind: FrameKind, src: u32) -> Self {
+        Self {
+            kind,
+            ctx: 0,
+            src,
+            tag: 0,
+        }
+    }
+}
+
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -88,12 +121,33 @@ pub struct Frame {
 impl Frame {
     /// A control frame: `(ctx, tag)` zero, just kind, source and payload.
     pub fn control(kind: FrameKind, src: u32, payload: Vec<u8>) -> Self {
+        Self::new(FrameHeader::control(kind, src), payload)
+    }
+
+    /// Reassemble a frame from its header and payload.
+    pub fn new(header: FrameHeader, payload: Vec<u8>) -> Self {
+        let FrameHeader {
+            kind,
+            ctx,
+            src,
+            tag,
+        } = header;
         Self {
             kind,
-            ctx: 0,
+            ctx,
             src,
-            tag: 0,
+            tag,
             payload,
+        }
+    }
+
+    /// This frame's header.
+    pub fn header(&self) -> FrameHeader {
+        FrameHeader {
+            kind: self.kind,
+            ctx: self.ctx,
+            src: self.src,
+            tag: self.tag,
         }
     }
 }
@@ -126,15 +180,16 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Append the frame's encoding to `out`.
-pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    let len = (HEADER_BYTES + frame.payload.len()) as u64;
-    out.extend_from_slice(&len.to_ne_bytes());
-    out.push(frame.kind as u8);
-    out.extend_from_slice(&frame.ctx.to_ne_bytes());
-    out.extend_from_slice(&frame.src.to_ne_bytes());
-    out.extend_from_slice(&frame.tag.to_ne_bytes());
-    out.extend_from_slice(&frame.payload);
+/// Encode the fixed prefix (length + header) of a frame carrying
+/// `payload_len` payload bytes.
+fn encode_prefix(header: &FrameHeader, payload_len: usize) -> [u8; PREFIX_BYTES] {
+    let mut out = [0u8; PREFIX_BYTES];
+    out[..8].copy_from_slice(&((HEADER_BYTES + payload_len) as u64).to_ne_bytes());
+    out[8] = header.kind as u8;
+    out[9..17].copy_from_slice(&header.ctx.to_ne_bytes());
+    out[17..21].copy_from_slice(&header.src.to_ne_bytes());
+    out[21..29].copy_from_slice(&header.tag.to_ne_bytes());
+    out
 }
 
 fn fixed<const N: usize>(src: &[u8], at: usize) -> Result<[u8; N], FrameError> {
@@ -143,56 +198,79 @@ fn fixed<const N: usize>(src: &[u8], at: usize) -> Result<[u8; N], FrameError> {
         .ok_or(FrameError::Truncated)
 }
 
-/// Decode one frame from the front of `src`, returning it and the number
-/// of bytes consumed.
-pub fn decode_frame(src: &[u8]) -> Result<(Frame, usize), FrameError> {
+/// Decode the fixed prefix at the front of `src` into the header and the
+/// payload length. The length is checked as soon as its 8 bytes are
+/// present and the kind before the payload is looked at, so every
+/// rejection happens before a reader allocates the payload.
+fn decode_prefix(src: &[u8]) -> Result<(FrameHeader, usize), FrameError> {
     let len = u64::from_ne_bytes(fixed::<8>(src, 0)?);
     if (len as usize) < HEADER_BYTES || len as usize > HEADER_BYTES + MAX_PAYLOAD {
         return Err(FrameError::BadLength(len));
     }
-    let body_len = len as usize;
-    if src.len() < 8 + body_len {
-        return Err(FrameError::Truncated);
-    }
-    let kind_byte = src[8];
+    let [kind_byte] = fixed::<1>(src, 8)?;
     let kind = FrameKind::from_u8(kind_byte).ok_or(FrameError::BadKind(kind_byte))?;
-    let ctx = u64::from_ne_bytes(fixed::<8>(src, 9)?);
-    let src_rank = u32::from_ne_bytes(fixed::<4>(src, 17)?);
-    let tag = u64::from_ne_bytes(fixed::<8>(src, 21)?);
-    let payload = src[8 + HEADER_BYTES..8 + body_len].to_vec();
-    Ok((
-        Frame {
-            kind,
-            ctx,
-            src: src_rank,
-            tag,
-            payload,
-        },
-        8 + body_len,
-    ))
+    let header = FrameHeader {
+        kind,
+        ctx: u64::from_ne_bytes(fixed::<8>(src, 9)?),
+        src: u32::from_ne_bytes(fixed::<4>(src, 17)?),
+        tag: u64::from_ne_bytes(fixed::<8>(src, 21)?),
+    };
+    Ok((header, len as usize - HEADER_BYTES))
+}
+
+/// Append the frame's encoding to `out`.
+pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
+    out.extend_from_slice(&encode_prefix(&frame.header(), frame.payload.len()));
+    out.extend_from_slice(&frame.payload);
+}
+
+/// Decode one frame from the front of `src`, returning it and the number
+/// of bytes consumed.
+pub fn decode_frame(src: &[u8]) -> Result<(Frame, usize), FrameError> {
+    let (header, payload_len) = decode_prefix(src)?;
+    let end = PREFIX_BYTES + payload_len;
+    let payload = src.get(PREFIX_BYTES..end).ok_or(FrameError::Truncated)?;
+    Ok((Frame::new(header, payload.to_vec()), end))
 }
 
 /// Write one frame to a stream (single buffered write).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(8 + HEADER_BYTES + frame.payload.len());
+    let mut buf = Vec::with_capacity(PREFIX_BYTES + frame.payload.len());
     encode_frame(frame, &mut buf);
     w.write_all(&buf)
 }
 
-/// Read exactly one frame from a stream. `Ok(None)` on clean EOF at a
-/// frame boundary; an EOF mid-frame is an `UnexpectedEof` error.
+/// Write one frame from its header and a borrowed payload: the prefix,
+/// then the payload bytes as they are, with no intermediate frame buffer.
+/// The bytes on the wire are exactly [`encode_frame`]'s. Meant for a
+/// buffered writer, which coalesces a small frame into one write and
+/// hands a large payload to the socket directly.
+pub fn write_frame_parts(
+    w: &mut impl Write,
+    header: &FrameHeader,
+    payload: &[u8],
+) -> io::Result<()> {
+    w.write_all(&encode_prefix(header, payload.len()))?;
+    w.write_all(payload)
+}
+
+/// Read exactly one frame from a stream: the fixed prefix in one loop,
+/// then the payload straight into the frame's own buffer. `Ok(None)` on
+/// clean EOF at a frame boundary; an EOF mid-frame is an `UnexpectedEof`
+/// error, and a bad length or kind is `InvalidData` before the payload is
+/// allocated.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
-    let mut len_buf = [0u8; 8];
-    // Hand-rolled first read so EOF-before-any-byte is distinguishable
-    // from EOF mid-prefix.
+    let mut prefix = [0u8; PREFIX_BYTES];
+    // Hand-rolled read so EOF-before-any-byte is distinguishable from EOF
+    // mid-prefix.
     let mut filled = 0;
-    while filled < len_buf.len() {
-        match r.read(&mut len_buf[filled..]) {
+    while filled < prefix.len() {
+        match r.read(&mut prefix[filled..]) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame (length prefix)",
+                    "connection closed mid-frame (prefix)",
                 ))
             }
             Ok(n) => filled += n,
@@ -200,22 +278,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
             Err(e) => return Err(e),
         }
     }
-    let len = u64::from_ne_bytes(len_buf);
-    if (len as usize) < HEADER_BYTES || len as usize > HEADER_BYTES + MAX_PAYLOAD {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameError::BadLength(len).to_string(),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let mut buf = Vec::with_capacity(8 + body.len());
-    buf.extend_from_slice(&len_buf);
-    buf.extend_from_slice(&body);
-    let (frame, consumed) = decode_frame(&buf)
+    let (header, payload_len) = decode_prefix(&prefix)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    debug_assert_eq!(consumed, buf.len());
-    Ok(Some(frame))
+    let mut payload = vec![0u8; payload_len];
+    r.read_exact(&mut payload)?;
+    Ok(Some(Frame::new(header, payload)))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! threads trip when a peer dies, and the network counters it ships back
 //! to the launcher with its result.
 
-use crate::frame::{write_frame, Frame, FrameKind};
+use crate::frame::{write_frame_parts, FrameHeader, FrameKind};
 use crate::net::Stream;
 use comm::mailbox::Mailbox;
 use std::io::{BufWriter, Write};
@@ -142,15 +142,21 @@ impl SockUniverse {
             .clone()
     }
 
-    /// Send one frame to world rank `dst`. `Err` means the link is gone —
-    /// the caller decides whether that is a peer death (data sends) or
-    /// ignorable (teardown best-effort).
-    pub(crate) fn send_frame(&self, dst: usize, frame: &Frame) -> std::io::Result<()> {
+    /// Send one frame to world rank `dst`, its payload written from the
+    /// borrowed bytes. `Err` means the link is gone — the caller decides
+    /// whether that is a peer death (data sends) or ignorable (teardown
+    /// best-effort).
+    pub(crate) fn send_frame(
+        &self,
+        dst: usize,
+        header: &FrameHeader,
+        payload: &[u8],
+    ) -> std::io::Result<()> {
         let link = self.peers[dst]
             .as_ref()
             .expect("no self-link: self-sends go through the mailbox");
         let mut w = link.writer.lock().expect("peer writer mutex poisoned");
-        write_frame(&mut *w, frame)?;
+        write_frame_parts(&mut *w, header, payload)?;
         w.flush()
     }
 
@@ -158,7 +164,8 @@ impl SockUniverse {
     pub(crate) fn send_goodbye(&self, dst: usize) -> std::io::Result<()> {
         self.send_frame(
             dst,
-            &Frame::control(FrameKind::Goodbye, self.my_world_rank as u32, Vec::new()),
+            &FrameHeader::control(FrameKind::Goodbye, self.my_world_rank as u32),
+            &[],
         )
     }
 

@@ -2,13 +2,93 @@
 //! `(kind, ctx, src, tag, payload)` frames round-trip bit-exactly through
 //! both the pure buffer codec and the stream IO path, and malformed input
 //! (truncation anywhere, oversized or undersized length prefixes) is
-//! rejected rather than misparsed or over-allocated.
+//! rejected rather than misparsed or over-allocated. The data path's
+//! split write (prefix, then a borrowed payload) must put the same bytes
+//! on the wire as the whole-frame encoder, and the reader must cope with
+//! a stream that hands out one byte per `read`.
 
 use proptest::prelude::*;
 use sockcomm::frame::{
-    decode_frame, encode_frame, read_frame, write_frame, Frame, FrameError, FrameKind,
-    HEADER_BYTES, MAX_PAYLOAD,
+    decode_frame, encode_frame, read_frame, write_frame, write_frame_parts, Frame, FrameError,
+    FrameHeader, FrameKind, HEADER_BYTES, MAX_PAYLOAD, PREFIX_BYTES,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::{self, Read};
+
+/// Records the largest single allocation the current thread asks for, so
+/// a test can prove a rejected frame never allocated its payload.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// bookkeeping touches only a const-initialized, destructor-free
+// thread-local, which never allocates.
+unsafe impl GlobalAlloc for LargestAlloc {
+    // SAFETY: same contract as `System.alloc`, which it forwards to.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: same contract as `System.alloc_zeroed`, which it forwards to.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: same contract as `System.realloc`, which it forwards to.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
+        // `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: same contract as `System.dealloc`, which it forwards to.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// A reader that returns at most one byte per `read` call and counts
+/// what it handed out.
+struct Trickle {
+    bytes: Vec<u8>,
+    pos: usize,
+}
+
+impl Trickle {
+    fn new(bytes: Vec<u8>) -> Self {
+        Self { bytes, pos: 0 }
+    }
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match (buf.first_mut(), self.bytes.get(self.pos)) {
+            (Some(slot), Some(&b)) => {
+                *slot = b;
+                self.pos += 1;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
 
 fn kind_from(byte: u8) -> FrameKind {
     match byte % 8 {
@@ -110,5 +190,104 @@ proptest! {
         encode_frame(&frame, &mut buf);
         buf[8] = bad_kind;
         prop_assert_eq!(decode_frame(&buf).unwrap_err(), FrameError::BadKind(bad_kind));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn split_write_matches_whole_frame_encoding(
+        kind_byte in any::<u8>(),
+        ctx in any::<u64>(),
+        src in any::<u32>(),
+        tag in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let frame = Frame { kind: kind_from(kind_byte), ctx, src, tag, payload };
+        let mut whole = Vec::new();
+        encode_frame(&frame, &mut whole);
+        let mut parts = Vec::new();
+        write_frame_parts(&mut parts, &frame.header(), &frame.payload)
+            .expect("vec write cannot fail");
+        prop_assert_eq!(&parts, &whole);
+        // Through a buffered writer too, the way the transport uses it.
+        let mut buffered = io::BufWriter::with_capacity(64, Vec::new());
+        write_frame_parts(&mut buffered, &frame.header(), &frame.payload)
+            .expect("vec write cannot fail");
+        prop_assert_eq!(buffered.into_inner().expect("flush"), whole);
+    }
+}
+
+#[test]
+fn read_frame_decodes_a_one_byte_per_read_stream() {
+    let frames = [
+        Frame::control(FrameKind::Params, 2, (0..=255u8).collect()),
+        Frame {
+            kind: FrameKind::Data,
+            ctx: 0x8000_0000_0000_0001,
+            src: 5,
+            tag: 1 << 40,
+            payload: Vec::new(),
+        },
+    ];
+    let mut wire = Vec::new();
+    for f in &frames {
+        encode_frame(f, &mut wire);
+    }
+    let mut r = Trickle::new(wire);
+    for f in &frames {
+        assert_eq!(read_frame(&mut r).expect("read").as_ref(), Some(f));
+    }
+    assert!(read_frame(&mut r).expect("boundary EOF").is_none());
+}
+
+#[test]
+fn eof_inside_the_prefix_is_unexpected_and_at_a_boundary_is_none() {
+    let frame = Frame::control(FrameKind::Hello, 3, vec![7; 10]);
+    let mut wire = Vec::new();
+    encode_frame(&frame, &mut wire);
+    assert!(read_frame(&mut Trickle::new(Vec::new()))
+        .expect("empty stream")
+        .is_none());
+    for cut in 1..PREFIX_BYTES {
+        let err =
+            read_frame(&mut Trickle::new(wire[..cut].to_vec())).expect_err("EOF inside the prefix");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+    }
+    let mut r = Trickle::new(wire);
+    assert_eq!(read_frame(&mut r).expect("whole frame"), Some(frame));
+    assert!(read_frame(&mut r).expect("EOF after a frame").is_none());
+}
+
+#[test]
+fn bad_length_or_kind_is_rejected_before_the_payload_is_allocated() {
+    // A valid-looking 256 MiB Data frame whose kind byte is unknown, and
+    // a length one past the cap.
+    let big = 256usize << 20;
+    let header = FrameHeader {
+        kind: FrameKind::Data,
+        ctx: 1,
+        src: 0,
+        tag: 9,
+    };
+    let mut bad_kind = Vec::new();
+    write_frame_parts(&mut bad_kind, &header, &[]).expect("vec write");
+    bad_kind[..8].copy_from_slice(&((HEADER_BYTES + big) as u64).to_ne_bytes());
+    bad_kind[8] = 0;
+    let mut bad_len = bad_kind.clone();
+    bad_len[..8].copy_from_slice(&((HEADER_BYTES + MAX_PAYLOAD + 1) as u64).to_ne_bytes());
+    bad_len[8] = FrameKind::Data as u8;
+    for stream in [bad_kind, bad_len] {
+        // Payload bytes follow, so only the header can stop the read.
+        let mut wire = stream;
+        wire.extend_from_slice(&[0u8; 64]);
+        let mut r = Trickle::new(wire);
+        LARGEST.with(|m| m.set(0));
+        let err = read_frame(&mut r).expect_err("rejected");
+        let largest = LARGEST.with(Cell::get);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(r.pos, PREFIX_BYTES, "no payload byte may be read");
+        assert!(largest < 4096, "rejection allocated {largest} bytes");
     }
 }

@@ -85,6 +85,62 @@ fn exchange_entry(comm: &SockComm, _seed: u64) -> u64 {
     sync_recv.iter().sum()
 }
 
+/// Elements rank `src` sends rank `dst` in the bulk exchange: enough for
+/// well over 1 MiB per peer, so every remote write fills the socket
+/// buffer and blocks mid-frame until the peer's reader drains it.
+fn bulk_u64(src: usize, dst: usize) -> Vec<u64> {
+    let count = (1 << 17) + 17 * src + dst;
+    (0..count as u64)
+        .map(|j| ((src as u64) << 48) | ((dst as u64) << 40) | j)
+        .collect()
+}
+
+/// The padded composite: 16 bytes in memory, 12 on the wire, so it takes
+/// the encode-once send path rather than the borrowed-bytes one.
+fn bulk_pair(src: usize, dst: usize) -> Vec<(u32, u64)> {
+    let count = 100_000 + 13 * src + dst;
+    (0..count as u32)
+        .map(|j| {
+            (
+                j ^ ((src as u32) << 24),
+                ((dst as u64) << 32) | u64::from(j),
+            )
+        })
+        .collect()
+}
+
+/// Runs `alltoallv_given_counts` on `chunk(me, dst)` for every `dst` and
+/// checks the result is the source-order concatenation with the self chunk
+/// in place; returns the element count received.
+fn check_bulk_exchange<T, F>(comm: &SockComm, chunk: F) -> u64
+where
+    T: comm::Wire + PartialEq + std::fmt::Debug,
+    F: Fn(usize, usize) -> Vec<T>,
+{
+    let (me, p) = (comm.rank(), comm.size());
+    let mut data = Vec::new();
+    let mut send_counts = Vec::with_capacity(p);
+    for dst in 0..p {
+        let c = chunk(me, dst);
+        send_counts.push(c.len());
+        data.extend(c);
+    }
+    let recv_counts: Vec<usize> = (0..p).map(|src| chunk(src, me).len()).collect();
+    let got = comm.alltoallv_given_counts(&data, &send_counts, &recv_counts);
+    let expected: Vec<T> = (0..p).flat_map(|src| chunk(src, me)).collect();
+    assert!(
+        got == expected,
+        "rank {me}: bulk exchange mismatch ({} vs {} elements)",
+        got.len(),
+        expected.len()
+    );
+    got.len() as u64
+}
+
+fn bulk_exchange_entry(comm: &SockComm, _seed: u64) -> u64 {
+    check_bulk_exchange(comm, bulk_u64) + check_bulk_exchange(comm, bulk_pair)
+}
+
 fn split_entry(comm: &SockComm, _seed: u64) -> u64 {
     let (me, p) = (comm.rank(), comm.size());
     // Even/odd halves; within a half, keep world order.
@@ -157,6 +213,21 @@ fn test_exchange_uds() {
     assert_eq!(report.results, expected);
 }
 
+fn test_bulk_exchange_uds() {
+    const BULK_P: usize = 3;
+    let report = SocketWorld::new(BULK_P)
+        .run::<u64, u64>("bulk_exchange", &0)
+        .expect("bulk exchange world");
+    let expected: Vec<u64> = (0..BULK_P)
+        .map(|me| {
+            (0..BULK_P)
+                .map(|src| (bulk_u64(src, me).len() + bulk_pair(src, me).len()) as u64)
+                .sum()
+        })
+        .collect();
+    assert_eq!(report.results, expected);
+}
+
 fn test_split_worlds() {
     let report = SocketWorld::new(P)
         .run::<u64, u64>("split", &0)
@@ -194,6 +265,7 @@ fn main() {
     // Rank processes divert here and never return.
     child_rank("hello", hello_entry);
     child_rank("exchange", exchange_entry);
+    child_rank("bulk_exchange", bulk_exchange_entry);
     child_rank("split", split_entry);
     child_rank("die", die_entry);
 
@@ -201,6 +273,7 @@ fn main() {
         ("hello_world_uds", test_hello_uds),
         ("hello_world_tcp", test_hello_tcp),
         ("async_exchange_uds", test_exchange_uds),
+        ("bulk_exchange_uds", test_bulk_exchange_uds),
         ("split_worlds", test_split_worlds),
         (
             "peer_death_is_named_not_hung",

@@ -43,10 +43,12 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p xlint -- \
 run cargo test -q "${CARGO_OPTS[@]}" -p mpisim -p sdssort --features mpisim/check
 
 # Miri over the unsafe-bearing modules (PlainData codecs, merge internals,
-# radix scatter passes, pivot sampling). Best effort: needs a nightly
-# toolchain with the miri component, which sealed containers may not have.
+# radix scatter passes, pivot sampling, the pod Wire byte view and bulk
+# decode). Best effort: needs a nightly toolchain with the miri component,
+# which sealed containers may not have.
 if cargo +nightly miri --version >/dev/null 2>&1; then
     run cargo +nightly miri test "${CARGO_OPTS[@]}" -p sdssort --lib -- external merge pivot radix
+    run cargo +nightly miri test "${CARGO_OPTS[@]}" -p comm --lib -- wire
 else
     echo "ci: miri unavailable (no nightly toolchain with miri component); skipping"
 fi
